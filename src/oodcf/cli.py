@@ -582,6 +582,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    cfg = None
     try:
         cfg = build_config(args)
         return args.fn(cfg)
@@ -589,9 +590,9 @@ def main(argv=None) -> int:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "exit_code": getattr(exc, "exit_code", EXIT_CONFIG)}
         sys.stderr.write(json.dumps(record) + "\n")
-        out_flag = getattr(args, "out", None)
-        if out_flag:
-            out = Path(out_flag)
+        out_dir = cfg.out if cfg is not None else getattr(args, "out", None)
+        if out_dir:
+            out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "error.json", "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)

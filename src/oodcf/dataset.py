@@ -10,12 +10,14 @@ to the test side, since all models are fit on ID data only.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
 from .errors import (
+    DataError,
     DegenerateSplit,
     EmptyPartition,
     MalformedFile,
@@ -138,10 +140,14 @@ class SplitSpec:
 def load_csv(path, label_column: str) -> RawTable:
     """Parse a comma-delimited UTF-8 file with a mandatory header row.
 
-    Every cell must parse as a float; missing values are a hard error rather
-    than being imputed.
+    Every cell must parse as a finite float; missing and non-finite values
+    are a hard error rather than being imputed.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open data file ({exc.strerror})") from exc
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -165,10 +171,14 @@ def load_csv(path, label_column: str) -> RawTable:
                 if cell == "":
                     raise MalformedFile(f"{path}:{lineno}: missing value in column {name!r}")
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise MalformedFile(
                         f"{path}:{lineno}: unparseable numeral {cell!r} in column {name!r}")
+                if not math.isfinite(value):
+                    raise MalformedFile(
+                        f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}")
+                parsed.append(value)
             rows.append(parsed)
     matrix = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
     return RawTable(column_names=header, rows=matrix, label_column=label_column)

@@ -29,7 +29,7 @@ class NumericError(OodcfError):
 # -- data ------------------------------------------------------------------
 
 class MalformedFile(DataError):
-    """CSV row has wrong length, an unparseable numeral, or a missing value."""
+    """CSV row has wrong length, an unparseable numeral, or a missing or non-finite value."""
 
 
 class MissingColumn(DataError):

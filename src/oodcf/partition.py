@@ -9,27 +9,35 @@ classifier trained on the train rows of those columns and evaluated on
 held-out rows. Per cardinality the best subset is kept; the per-cardinality
 minima are z-score-normalized, and the smallest cardinality within a slack
 threshold of the best normalized value becomes z_d.
+
+The search fits each class's mean and covariance once on all k latents; a
+subset's QDA parameters are the principal submatrices of those moments.
+Subsets of one cardinality are scored in fixed-size chunks with one batched
+Cholesky factorization and one batched solve per chunk, so peak memory does
+not grow with C(k, c).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from ._gaussian import GaussianComponent
+from ._gaussian import LOG_2PI, GaussianComponent
 from .errors import (
     CapExceeded,
     DataError,
     DegenerateNormalizationWarning,
     DimensionMismatch,
     OutOfRange,
+    SingularCovariance,
 )
 
 DEFAULT_SLACK = 0.10
 DEFAULT_CAP = 20
+_CHUNK = 128  # subsets per batched factorization
 
 
 @dataclass(frozen=True)
@@ -60,26 +68,21 @@ class QdaModel:
 
     def posterior(self, Z: np.ndarray) -> np.ndarray:
         """P(c | z) rows summing to 1, shape (n, C)."""
-        lj = self.log_joint(Z)
-        lj -= lj.max(axis=1, keepdims=True)
-        p = np.exp(lj)
-        p /= p.sum(axis=1, keepdims=True)
-        return p
+        return _softmax(self.log_joint(Z))
+
+
+def _softmax(lj: np.ndarray) -> np.ndarray:
+    """Normalize log joints over the last (class) axis."""
+    p = np.exp(lj - lj.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def fit_qda(Z: np.ndarray, Y: np.ndarray) -> QdaModel:
     """Class-conditional Gaussians with ridge-regularized covariances."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Y = np.asarray(Y)
-    classes = np.unique(Y)
-    if classes.size < 2:
-        raise DataError(f"QDA needs >= 2 classes, got {classes.size}")
-    components, priors = [], []
-    for c in classes:
-        members = Z[Y == c]
-        components.append(GaussianComponent.fit(members))
-        priors.append(members.shape[0] / Z.shape[0])
-    return QdaModel(components=components, priors=np.array(priors))
+    means, covs, priors = _class_moments(np.atleast_2d(np.asarray(Z, dtype=float)), Y)
+    return QdaModel(components=[GaussianComponent.from_moments(m, s)
+                                for m, s in zip(means, covs)], priors=priors)
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -95,10 +98,10 @@ def bernoulli_entropy(p: float) -> float:
 
 
 def _posterior_entropy_bits(P: np.ndarray) -> np.ndarray:
-    """Row-wise categorical entropy in bits with the 0*log0 -> 0 convention."""
+    """Categorical entropy in bits over the last axis, with 0*log0 -> 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(P > 0.0, P * np.log2(P), 0.0)
-    return -terms.sum(axis=1)
+    return -terms.sum(axis=-1)
 
 
 def conditional_entropy(model: QdaModel, Z_eval: np.ndarray) -> float:
@@ -123,6 +126,68 @@ def partition_loss(subset, Z_train, Y_train, Z_eval) -> float:
     h_sub = conditional_entropy(fit_qda(Z_train[:, subset], Y_train), Z_eval[:, subset])
     h_comp = conditional_entropy(fit_qda(Z_train[:, comp], Y_train), Z_eval[:, comp])
     return h_sub - h_comp
+
+
+def _class_moments(Z: np.ndarray, Y: np.ndarray):
+    """Per-class means (C, k), sample covariances (C, k, k) and empirical
+    priors (C,)."""
+    Y = np.asarray(Y)
+    classes = np.unique(Y)
+    if classes.size < 2:
+        raise DataError(f"QDA needs >= 2 classes, got {classes.size}")
+    means, covs, counts = [], [], []
+    for c in classes:
+        members = Z[Y == c]
+        n = members.shape[0]
+        if n < 2:
+            raise SingularCovariance(f"need >= 2 rows to fit a Gaussian, got {n}")
+        mean = members.mean(axis=0)
+        centered = members - mean
+        means.append(mean)
+        covs.append(centered.T @ centered / (n - 1))
+        counts.append(n)
+    return np.array(means), np.array(covs), np.array(counts) / Z.shape[0]
+
+
+def _factor(means: np.ndarray, covs: np.ndarray):
+    """Cholesky factors and log-determinants of a stack of covariances.
+
+    A stack that does not factor as it is goes matrix by matrix through
+    `GaussianComponent.from_moments`, i.e. the ridge escalation and the
+    non-finite check of the shared covariance policy.
+    """
+    if np.isfinite(covs).all():  # a batched Cholesky passes NaNs through silently
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return chol, 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    m = covs.shape[-1]
+    comps = [GaussianComponent.from_moments(mu, cov)
+             for mu, cov in zip(means.reshape(-1, m), covs.reshape(-1, m, m))]
+    return (np.stack([g.chol for g in comps]).reshape(covs.shape),
+            np.array([g.log_det for g in comps]).reshape(covs.shape[:-2]))
+
+
+def _subset_entropies(means, covs, priors, Z_eval, c: int) -> np.ndarray:
+    """Mean posterior entropy (bits) on Z_eval of the QDA restricted to each
+    c-subset of the latent dims, in `combinations` order."""
+    k = means.shape[1]
+    Zt = Z_eval.T
+    log_priors = np.log(priors)[:, None, None]
+    subsets = combinations(range(k), c)
+    out = []
+    while (idx := np.array(list(islice(subsets, _CHUNK)))).size:   # (B, c)
+        sub_means = means[:, idx]                                   # (C, B, c)
+        chol, log_det = _factor(sub_means, covs[:, idx[:, :, None], idx[:, None, :]])
+        y = np.linalg.solve(chol, Zt[idx] - sub_means[..., None])   # (C, B, c, n)
+        with np.errstate(over="ignore"):
+            quad = (y * y).sum(axis=-2)                             # (C, B, n)
+        lj = -(0.5 * (c * LOG_2PI + log_det[..., None] + quad)) + log_priors
+        P = _softmax(np.moveaxis(lj, 0, -1))                        # (B, n, C)
+        out.append(_posterior_entropy_bits(P).mean(axis=-1))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)
@@ -174,25 +239,15 @@ def search_partition(Z_train, Y_train, Z_eval, slack: float = DEFAULT_SLACK,
     if Z_eval.shape[1] != k:
         raise DimensionMismatch("train and eval latent dimensionality differ")
 
-    # one QDA fit + entropy per distinct subset; the loss of S reuses the
-    # entropy of its complement
-    entropy: dict[tuple[int, ...], float] = {}
-
-    def subset_entropy(cols: tuple[int, ...]) -> float:
-        if cols not in entropy:
-            model = fit_qda(Z_train[:, cols], Y_train)
-            entropy[cols] = conditional_entropy(model, Z_eval[:, cols])
-        return entropy[cols]
-
+    means, covs, priors = _class_moments(Z_train, Y_train)
+    entropy = {c: _subset_entropies(means, covs, priors, Z_eval, c)
+               for c in range(1, k)}
     best_per_card: list[tuple[int, tuple[int, ...], float]] = []
     for c in range(1, k):
-        best_subset, best_loss = None, np.inf
-        for sub in combinations(range(k), c):
-            comp = tuple(i for i in range(k) if i not in sub)
-            loss = subset_entropy(sub) - subset_entropy(comp)
-            if loss < best_loss:  # strict: lexicographically-first subset wins ties
-                best_subset, best_loss = sub, loss
-        best_per_card.append((c, best_subset, best_loss))
+        # the complement of the i-th c-subset is the (N-1-i)-th (k-c)-subset
+        loss = entropy[c] - entropy[k - c][::-1]
+        i = int(np.argmin(loss))  # first minimum: lexicographically-first subset wins ties
+        best_per_card.append((c, next(islice(combinations(range(k), c), i, None)), loss[i]))
 
     losses = np.array([rec[2] for rec in best_per_card])
     notes: list[str] = []

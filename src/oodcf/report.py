@@ -118,8 +118,9 @@ def repeat_and_aggregate(run_fn, base_seed: int, n_seeds: int = 5,
                          seeds: list[int] | None = None) -> AggregateResult:
     """Run `run_fn(seed)` for seeds base_seed..base_seed+n_seeds-1 and
     average each metric; per-seed rows and standard deviations are kept for
-    the long-form output. A failing seed aborts with its seed attached.
-    An explicit (possibly non-contiguous) seed list overrides the default."""
+    the long-form output. A failing seed aborts with its own exception,
+    whose message is prefixed with the seed. An explicit (possibly
+    non-contiguous) seed list overrides the default."""
     if seeds is None:
         seeds = list(range(base_seed, base_seed + n_seeds))
     n_seeds = len(seeds)
@@ -130,7 +131,8 @@ def repeat_and_aggregate(run_fn, base_seed: int, n_seeds: int = 5,
         try:
             row = run_fn(seed)
         except Exception as exc:
-            raise type(exc)(f"seed {seed}: {exc}") from exc
+            exc.args = (f"seed {seed}: {exc}",)
+            raise
         per_seed.append((seed, row))
     name = approach if approach is not None else per_seed[0][1].approach
     fields = ("non_dis", "dis", "l1", "auroc")

@@ -184,6 +184,53 @@ class TestScoreCommand:
             assert float(r[1]) + float(r[2]) == float(r[3])
 
 
+NAN9 = ("f1,f2,target\n0.1,1.2,0\n0.5,0.7,0\n-0.3,1.1,0\n0.2,0.4,0\n"
+        "3.1,-0.2,1\n2.7,0.3,1\n3.4,0.6,1\n2.9,-0.5,1\n1.5,nan,2\n")
+
+
+class TestBadInputExitCodes:
+    """Bad input exits with its documented code and writes error.json."""
+
+    def test_nan_cell_in_score(self, tmp_path, capsys):
+        data = tmp_path / "nan9.csv"
+        data.write_text(NAN9, encoding="utf-8")
+        out = tmp_path / "s"
+        code = run_cli(["score", "--data", data, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--out", out])
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "MalformedFile"
+        assert "'nan'" in record["message"]
+        assert not (out / "scores.csv").exists()
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.csv"
+        code = run_cli(["run", "--data", missing, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--out", tmp_path / "r"])
+        assert code == 3
+        record = json.loads((tmp_path / "r" / "error.json").read_text())
+        assert record["error"] == "DataError"
+        assert str(missing) in record["message"]
+
+    def test_error_json_goes_to_config_out(self, tmp_path, capsys):
+        data = tmp_path / "all_ood.csv"
+        data.write_text("f1,target\n1,2\n2,2\n3,2\n", encoding="utf-8")
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text(
+            "[dataset]\n"
+            "source = csv\n"
+            f"path = {data}\n"
+            "label_col = target\n"
+            "ood_rule = class_equals:2\n"
+            "[run]\n"
+            f"out = {tmp_path / 'from_file'}\n",
+            encoding="utf-8")
+        code = run_cli(["run", "--config", cfg_file])
+        assert code == 3
+        record = json.loads((tmp_path / "from_file" / "error.json").read_text())
+        assert record["error"] == "EmptyPartition"
+
+
 class TestConfigFile:
     def test_file_plus_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.ini"

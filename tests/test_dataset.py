@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oodcf import dataset
 from oodcf.errors import (
+    DataError,
     DegenerateSplit,
     EmptyPartition,
     MalformedFile,
@@ -56,6 +57,16 @@ class TestLoadCsv:
     def test_duplicate_columns(self, tmp_path):
         with pytest.raises(MalformedFile):
             dataset.load_csv(write(tmp_path, "a,a\n1,2\n"), "a")
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "infinity", "1e999"])
+    def test_non_finite_cell_is_hard_error(self, tmp_path, cell):
+        with pytest.raises(MalformedFile, match="non-finite"):
+            dataset.load_csv(write(tmp_path, f"a,label\n1,0\n{cell},1\n"), "label")
+
+    def test_missing_file_names_path(self, tmp_path):
+        missing = tmp_path / "absent.csv"
+        with pytest.raises(DataError, match="absent.csv"):
+            dataset.load_csv(missing, "label")
 
 
 def wine_style_table():

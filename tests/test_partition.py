@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from oodcf.errors import (
     DataError,
     DegenerateNormalizationWarning,
     OutOfRange,
+    SingularCovariance,
 )
 
 
@@ -307,3 +309,108 @@ class TestMulticlass:
         # dims 0 and 1 carry the class structure; dim 2 is noise
         assert 2 not in result.z_d
         assert sorted(result.z_d + result.z_n) == [0, 1, 2]
+
+
+def per_subset_oracle(Z, Y, Ze):
+    """One `fit_qda` + `conditional_entropy` per subset and per complement;
+    returns [(cardinality, best subset, its loss)] with strict-< tie breaking."""
+    k = Z.shape[1]
+
+    def entropy(cols):
+        cols = list(cols)
+        return partition.conditional_entropy(partition.fit_qda(Z[:, cols], Y), Ze[:, cols])
+
+    out = []
+    for c in range(1, k):
+        best_sub, best_loss = None, np.inf
+        for sub in combinations(range(k), c):
+            comp = tuple(i for i in range(k) if i not in sub)
+            loss = entropy(sub) - entropy(comp)
+            if loss < best_loss:
+                best_sub, best_loss = sub, loss
+        out.append((c, best_sub, best_loss))
+    return out
+
+
+def search_quiet(Z, Y, Ze):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateNormalizationWarning)
+        return partition.search_partition(Z, Y, Ze)
+
+
+def assert_matches_oracle(result, oracle):
+    assert [(r.cardinality, r.subset) for r in result.per_cardinality] == \
+        [(c, sub) for c, sub, _ in oracle]
+    for r, (_, _, loss) in zip(result.per_cardinality, oracle):
+        assert abs(r.loss - loss) <= 1e-12
+
+
+def mixed_class_data(seed, k, n_classes, n=40, n_eval=20):
+    """Correlated Gaussian classes whose means differ along random directions."""
+    gen = np.random.default_rng(seed)
+    mix = gen.normal(size=(k, k))
+    shifts = gen.normal(scale=1.5, size=(n_classes, k))
+
+    def block(rows):
+        y = np.repeat(np.arange(n_classes), rows)
+        return gen.normal(size=(y.size, k)) @ mix + shifts[y], y
+
+    Z, Y = block(n)
+    Ze, _ = block(n_eval // n_classes)
+    return Z, Y, Ze
+
+
+class TestBatchedSearchAgainstOracle:
+    """The batched search scores every subset exactly like a per-subset QDA fit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 7), st.sampled_from([2, 3]))
+    def test_random_tables(self, seed, k, n_classes):
+        Z, Y, Ze = mixed_class_data(seed, k, n_classes)
+        assert_matches_oracle(search_quiet(Z, Y, Ze), per_subset_oracle(Z, Y, Ze))
+
+    def test_duplicate_column_takes_the_ridge_fallback(self, monkeypatch):
+        Z, Y, Ze = mixed_class_data(11, 5, 2)
+        Z[:, 3] = Z[:, 1]
+        Ze[:, 3] = Ze[:, 1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.cov(Z[Y == 0].T))
+        oracle = per_subset_oracle(Z, Y, Ze)
+
+        ridges = []
+        fit = partition.GaussianComponent.from_moments.__func__
+
+        def spy(cls, mean, cov):
+            comp = fit(cls, mean, cov)
+            ridges.append(comp.ridge)
+            return comp
+
+        monkeypatch.setattr(partition.GaussianComponent, "from_moments", classmethod(spy))
+        assert_matches_oracle(search_quiet(Z, Y, Ze), oracle)
+        assert max(ridges) > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_train_rows_raise(self, bad):
+        Z, Y, Ze = mixed_class_data(12, 4, 2)
+        Z[5, 2] = bad
+        with pytest.raises(SingularCovariance):
+            partition.search_partition(Z, Y, Ze)
+
+    def test_single_class_rejected(self):
+        Z, _, Ze = mixed_class_data(13, 3, 2)
+        with pytest.raises(DataError):
+            partition.search_partition(Z, np.zeros(Z.shape[0], int), Ze)
+
+    @pytest.mark.parametrize("chunk", [partition._CHUNK, 7])
+    def test_k13_chunks_split_cardinalities(self, k13_case, monkeypatch, chunk):
+        Z, Y, Ze, oracle = k13_case
+        assert math.comb(13, 6) > chunk
+        monkeypatch.setattr(partition, "_CHUNK", chunk)
+        assert_matches_oracle(partition.search_partition(Z, Y, Ze), oracle)
+
+
+@pytest.fixture(scope="module")
+def k13_case():
+    """Wine-sized k=13 table and its per-subset oracle (8190 subsets)."""
+    Z, Y, Ze = mixed_class_data(14, 13, 2, n=30, n_eval=16)
+    return Z, Y, Ze, per_subset_oracle(Z, Y, Ze)

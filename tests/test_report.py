@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oodcf import counterfactual, report
 from oodcf.counterfactual import GenerationConfig
-from oodcf.errors import DimensionMismatch, EmptyInput
+from oodcf.errors import DimensionMismatch, EmptyInput, NonFiniteLoss, OodcfError
 
 
 def pairwise_auroc(pos, neg):
@@ -190,6 +190,31 @@ class TestRepeatAndAggregate:
 
         with pytest.raises(EmptyInput, match="seed 4"):
             report.repeat_and_aggregate(boom, 3, n_seeds=3)
+
+    def test_failing_seed_keeps_trajectory(self):
+        trajectory = np.arange(6.0).reshape(3, 2)
+        original = NonFiniteLoss("loss became nan", trajectory=trajectory)
+
+        def boom(seed):
+            raise original
+
+        with pytest.raises(NonFiniteLoss, match="seed 5: loss became nan") as info:
+            report.repeat_and_aggregate(boom, 5, n_seeds=2)
+        assert info.value is original
+        assert info.value.trajectory is trajectory
+
+    def test_failing_seed_with_two_argument_exception(self):
+        class Pair(OodcfError):
+            def __init__(self, left, right):
+                super().__init__(f"{left} vs {right}")
+                self.left, self.right = left, right
+
+        def boom(seed):
+            raise Pair("a", "b")
+
+        with pytest.raises(Pair, match="seed 0: a vs b") as info:
+            report.repeat_and_aggregate(boom, 0, n_seeds=1)
+        assert (info.value.left, info.value.right) == ("a", "b")
 
 
 class TestFormatTable:
