@@ -415,18 +415,19 @@ def cmd_toy(cfg: RunConfig) -> int:
 
 def _run_variant_results(cfg: RunConfig, fit: PipelineFit, variant: str, seed: int):
     ood_test = fit.test.ood_rows().features
-
-    def density_target(x):
-        return select_target(fit.model, fit.projection, x)
-
+    # every variant, CFI included, gets the same density-based target per row
+    targets = select_target(fit.model, fit.projection, ood_test)
+    # cfi iterates in the classifier's own space and never writes trajectories
+    record = cfg.emit_trajectories and variant != "cfi"
     if variant == "cfi":
         id_train = fit.train.id_rows()
         classifier = train_softmax_classifier(
             id_train.features, id_train.class_label, seed=seed)
         return batch_generate(ood_test, variant="cfi", classifier=classifier,
-                              cfi_cfg=cfg.cfi(), target_fn=density_target)
+                              cfi_cfg=cfg.cfi(), targets=targets, record=record)
     return batch_generate(ood_test, variant=variant, model=fit.model,
-                          projection=fit.projection, cfg=cfg.generation())
+                          projection=fit.projection, cfg=cfg.generation(),
+                          targets=targets, record=record)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -569,8 +570,7 @@ def _add_common(p: argparse.ArgumentParser):
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oodcf",
-        description="Two-step counterfactual generation for OOD tabular data. "
-                    "Worker count is capped by $OODCF_THREADS.")
+        description="Two-step counterfactual generation for OOD tabular data.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("toy", cmd_toy), ("run", cmd_run),
                      ("partition", cmd_partition), ("score", cmd_score)):

@@ -137,6 +137,22 @@ class SplitSpec:
             raise OutOfRange("train_fraction must lie in (0, 1)")
 
 
+def _utf8_lines(fh, path):
+    """Lines of a file opened as UTF-8 text; a byte that is not UTF-8 is a
+    MalformedFile naming the byte and its offset in the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                                f"at offset {exc.start}") from None
+        raise
+
+
 def load_csv(path, label_column: str) -> RawTable:
     """Parse a comma-delimited UTF-8 file with a mandatory header row.
 
@@ -148,7 +164,7 @@ def load_csv(path, label_column: str) -> RawTable:
     except OSError as exc:
         raise DataError(f"{path}: cannot open data file ({exc.strerror})") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

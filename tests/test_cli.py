@@ -203,6 +203,19 @@ class TestBadInputExitCodes:
         assert "'nan'" in record["message"]
         assert not (out / "scores.csv").exists()
 
+    def test_non_utf8_data_file(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(NAN9.replace("nan", "0.2").replace("f1", "caf\u00e9")
+                         .encode("latin-1"))
+        out = tmp_path / "s"
+        code = run_cli(["score", "--data", data, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--out", out])
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "MalformedFile"
+        assert "byte 0xe9 at offset 3" in record["message"]
+        assert not (out / "scores.csv").exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
         code = run_cli(["run", "--data", missing, "--label-col", "target",

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from conftest import fit_toy, fit_wine
 
 from oodcf import counterfactual, projection
-from oodcf.counterfactual import CfiConfig, GenerationConfig
-from oodcf.errors import OutOfRange
+from oodcf.counterfactual import ORDERS, VARIANTS, CfiConfig, GenerationConfig, PhaseTrace
+from oodcf.errors import DimensionMismatch, NonFiniteLoss, OutOfRange
 
 
 def latents(fit, X):
@@ -249,20 +252,272 @@ class TestCfi:
         assert accuracy > 0.99
 
 
+# -- per-row oracle: the descent loops as they ran before the batched engine --
+# Kept verbatim apart from two helpers that pin the arithmetic of that time:
+# the gradient by two LU solves, and the class probabilities by a matmul.
+
+def _oracle_grad_nll(component, z):
+    y = np.linalg.solve(component.chol, z - component.mean)
+    return np.linalg.solve(component.chol.T, y)
+
+
+def _oracle_proba(classifier, u):
+    logits = u @ classifier.weights.T + classifier.bias
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(logits)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _oracle_select_target(model, proj, x):
+    z = projection.project(proj, np.asarray(x, dtype=float))
+    z_d = z[list(model.partition.z_d)]
+    nlls = [comp.nll(z_d) for comp in model.dis_per_class]
+    return int(np.argmin(nlls))
+
+
+def _oracle_descend(u0, component, J, threshold, cfg, phase):
+    u = u0.copy()
+    z = J @ u
+    loss = float(component.nll(z))
+    points, losses = [u.copy()], [loss]
+    alpha, rises, steps = cfg.step_size, 0, 0
+    while steps < cfg.max_iter and loss > threshold:
+        g = J.T @ _oracle_grad_nll(component, z)
+        u = u - alpha * g
+        z = J @ u
+        new_loss = float(component.nll(z))
+        if not np.isfinite(new_loss):
+            raise NonFiniteLoss(
+                f"{phase} phase diverged at step {steps + 1} (alpha={alpha:g})",
+                trajectory=PhaseTrace(phase, np.array(points), np.array(losses),
+                                      threshold, steps))
+        if new_loss > loss:
+            rises += 1
+            if rises >= 2:
+                alpha *= 0.5
+                rises = 0
+        else:
+            rises = 0
+        loss = new_loss
+        steps += 1
+        points.append(u.copy())
+        losses.append(loss)
+    return u, PhaseTrace(phase, np.array(points), np.array(losses), threshold, steps)
+
+
+def _oracle_generate(x, model, proj, cfg, variant, target):
+    """(x_counterfactual, trajectories, steps_taken) of a density variant."""
+    if variant == "full":
+        phases = ("non_dis", "dis") if cfg.order == "non_dis_first" else ("dis", "non_dis")
+    else:
+        phases = {"sg": ("joint",), "sn": ("non_dis",), "sd": ("dis",)}[variant]
+    q = cfg.stop_quantile
+    plan = []
+    for name in phases:
+        if name == "non_dis":
+            plan.append((name, model.non_dis,
+                         projection.jacobian(proj, model.partition.z_n),
+                         model.train_quantile("non_dis", q)))
+        elif name == "dis":
+            plan.append((name, model.dis_per_class[target],
+                         projection.jacobian(proj, model.partition.z_d),
+                         model.train_quantile("dis", q, target)))
+        else:
+            plan.append((name, model.joint_per_class[target],
+                         projection.jacobian(proj, range(proj.k)),
+                         model.train_quantile("joint", q, target)))
+    x = np.asarray(x, dtype=float)
+    u0 = proj.standardizer.transform(x)
+    u = u0
+    trajectories, steps = [], {}
+    for name, component, J, threshold in plan:
+        u, trace = _oracle_descend(u, component, J, threshold, cfg, name)
+        trajectories.append(trace)
+        steps[name] = trace.steps
+    return x + (u - u0) * proj.standardizer.scale, trajectories, steps
+
+
+def _oracle_cfi(x, classifier, cfg, target):
+    """(x_counterfactual, trajectories, steps_taken) of the CFI baseline."""
+    x = np.asarray(x, dtype=float)
+    u0 = classifier.standardizer.transform(x)
+
+    def objective(u):
+        qt = _oracle_proba(classifier, u)[target]
+        return (qt - cfg.target_probability) ** 2 + cfg.lam * np.abs(u - u0).sum()
+
+    u = u0.copy()
+    points, losses = [u.copy()], [float(objective(u))]
+    steps = 0
+    for _ in range(cfg.max_iter):
+        P = _oracle_proba(classifier, u)
+        qt = P[target]
+        grad_q = qt * (classifier.weights[target] - P @ classifier.weights)
+        g = 2.0 * (qt - cfg.target_probability) * grad_q
+        moved = u - cfg.step_size * g
+        d = moved - u0
+        d = np.sign(d) * np.maximum(np.abs(d) - cfg.step_size * cfg.lam, 0.0)
+        u_next = u0 + d
+        loss = float(objective(u_next))
+        if not np.isfinite(loss):
+            raise NonFiniteLoss(
+                f"cfi diverged at step {steps + 1}",
+                trajectory=PhaseTrace("cfi", np.array(points), np.array(losses), None, steps))
+        if np.array_equal(u_next, u):
+            break
+        u = u_next
+        steps += 1
+        points.append(u.copy())
+        losses.append(loss)
+    trace = PhaseTrace("cfi", np.array(points), np.array(losses), None, steps)
+    return x + (u - u0) * classifier.standardizer.scale, [trace], {"cfi": steps}
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b))
+                 / max(np.linalg.norm(b), 1e-300))
+
+
+def _assert_matches_oracle(res, oracle):
+    x_cf, trajectories, steps = oracle
+    assert res.steps_taken == steps
+    assert _rel(res.x_counterfactual, x_cf) <= 1e-10
+    assert [t.phase for t in res.trajectories] == [t.phase for t in trajectories]
+    for got, want in zip(res.trajectories, trajectories):
+        assert got.steps == want.steps and got.points.shape == want.points.shape
+        assert _rel(got.points, want.points) <= 1e-10
+        assert _rel(got.losses, want.losses) <= 1e-10
+
+
+def _classifier(fit, seed=0):
+    id_train = fit.train.id_rows()
+    return counterfactual.train_softmax_classifier(
+        id_train.features, id_train.class_label, seed=seed)
+
+
+def _variant_kwargs(fit, variant, classifier, cfg=None, cfi_cfg=None):
+    if variant == "cfi":
+        return {"classifier": classifier, "cfi_cfg": cfi_cfg or CfiConfig()}
+    return {"model": fit.model, "projection": fit.projection,
+            "cfg": cfg or GenerationConfig()}
+
+
+class TestEngineAgainstOracle:
+    """The batched engine against the per-row loops it replaced: equal step
+    counts per row and phase, counterfactuals and trajectories within 1e-10
+    relative (they differ only in float reduction order)."""
+
+    @pytest.mark.parametrize("kind,seed", [(k, s) for k in ("toy", "wine")
+                                           for s in range(5)])
+    def test_matches_per_row_oracle(self, kind, seed):
+        fit = fit_toy(seed, n_per_class=300, n_ood=30) if kind == "toy" else fit_wine(seed)
+        ood = fit.test.ood_rows().features
+        targets = counterfactual.select_target(fit.model, fit.projection, ood)
+        assert targets.tolist() == [_oracle_select_target(fit.model, fit.projection, x)
+                                    for x in ood]
+        for order in ORDERS:
+            cfg = GenerationConfig(order=order)
+            for variant in ("full", "sg", "sn", "sd"):
+                results = counterfactual.batch_generate(
+                    ood, variant=variant, model=fit.model,
+                    projection=fit.projection, cfg=cfg)
+                for x, t, res in zip(ood, targets, results):
+                    assert res.target_class == t
+                    _assert_matches_oracle(res, _oracle_generate(
+                        x, fit.model, fit.projection, cfg, variant, t))
+        clf = _classifier(fit, seed)
+        results = counterfactual.batch_generate(
+            ood, variant="cfi", classifier=clf, cfi_cfg=CfiConfig(), targets=targets)
+        for x, t, res in zip(ood, targets, results):
+            _assert_matches_oracle(res, _oracle_cfi(x, clf, CfiConfig(), t))
+
+
+    @pytest.mark.parametrize("kind", ["toy", "wine"])
+    def test_step_halving_matches_oracle(self, kind):
+        # at alpha=2 the NLL rises twice in a row on many rows, so the
+        # step-size halving runs
+        fit = fit_toy(0, n_per_class=300, n_ood=30) if kind == "toy" else fit_wine(0)
+        ood = fit.test.ood_rows().features
+        cfg = GenerationConfig(step_size=2.0)
+        targets = counterfactual.select_target(fit.model, fit.projection, ood)
+        double_rises = 0
+        for variant in ("full", "sg", "sn", "sd"):
+            results = counterfactual.batch_generate(
+                ood, variant=variant, model=fit.model, projection=fit.projection, cfg=cfg)
+            for x, t, res in zip(ood, targets, results):
+                oracle = _oracle_generate(x, fit.model, fit.projection, cfg, variant, t)
+                _assert_matches_oracle(res, oracle)
+                for trace in oracle[1]:
+                    rose = np.diff(trace.losses) > 0
+                    double_rises += int(np.sum(rose[1:] & rose[:-1]))
+        assert double_rises > 0
+
+
 class TestBatch:
     def test_empty_input(self):
         assert counterfactual.batch_generate(np.empty((0, 2))) == []
 
-    def test_batch_equals_loop(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        batch = counterfactual.batch_generate(
-            toy_ood[:10], variant="full", model=toy_fit.model,
-            projection=toy_fit.projection, cfg=cfg)
-        for x, res in zip(toy_ood[:10], batch):
-            single = counterfactual.generate(x, toy_fit.model,
-                                             toy_fit.projection, cfg)
-            assert np.array_equal(res.x_counterfactual, single.x_counterfactual)
-            assert res.losses_after == single.losses_after
+    def test_batch_equals_loop(self, toy_fit, toy_ood, toy_classifier):
+        for variant in VARIANTS:
+            kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+            batch = counterfactual.batch_generate(toy_ood[:10], variant=variant, **kwargs)
+            for x, res in zip(toy_ood[:10], batch):
+                if variant == "cfi":
+                    single = counterfactual.cfi_generate(x, toy_classifier, CfiConfig())
+                elif variant == "full":
+                    single = counterfactual.generate(x, toy_fit.model,
+                                                     toy_fit.projection, kwargs["cfg"])
+                else:
+                    single = counterfactual.generate_ablation(
+                        x, toy_fit.model, toy_fit.projection, kwargs["cfg"], variant)
+                assert np.array_equal(res.x_counterfactual, single.x_counterfactual)
+                assert res.losses_after == single.losses_after
+                assert res.steps_taken == single.steps_taken
+                for a, b in zip(res.trajectories, single.trajectories):
+                    assert np.array_equal(a.points, b.points)
+                    assert np.array_equal(a.losses, b.losses)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_permuted_batch_is_bit_identical(self, wine_fit, variant):
+        ood = wine_fit.test.ood_rows().features
+        kwargs = _variant_kwargs(wine_fit, variant, _classifier(wine_fit))
+        base = counterfactual.batch_generate(ood, variant=variant, **kwargs)
+        perm = np.random.default_rng(0).permutation(len(ood))
+        permuted = counterfactual.batch_generate(ood[perm], variant=variant, **kwargs)
+        for j, i in enumerate(perm):
+            assert np.array_equal(permuted[j].x_counterfactual, base[i].x_counterfactual)
+            assert permuted[j].steps_taken == base[i].steps_taken
+            assert permuted[j].losses_after == base[i].losses_after
+
+    def test_mixed_target_classes(self, toy_fit, toy_ood, toy_classifier):
+        rows = toy_ood[:12]
+        targets = np.arange(len(rows)) % 2
+        for variant in VARIANTS:
+            kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+            batch = counterfactual.batch_generate(rows, variant=variant,
+                                                  targets=targets, **kwargs)
+            for x, t, res in zip(rows, targets, batch):
+                assert res.target_class == t
+                if variant == "cfi":
+                    oracle = _oracle_cfi(x, toy_classifier, CfiConfig(), t)
+                else:
+                    oracle = _oracle_generate(x, toy_fit.model, toy_fit.projection,
+                                              GenerationConfig(), variant, t)
+                _assert_matches_oracle(res, oracle)
+
+    def test_out_of_range_target_flags_its_row(self, toy_fit, toy_ood):
+        results = counterfactual.batch_generate(
+            toy_ood[:3], variant="full", model=toy_fit.model,
+            projection=toy_fit.projection, cfg=GenerationConfig(), targets=[0, 7, 1])
+        assert [r.failed for r in results] == [False, True, False]
+        assert results[1].error == "UnknownClass: target class 7 not in [0, 2)"
+
+    def test_wrong_width_is_rejected(self, toy_fit, toy_classifier):
+        for variant in ("full", "cfi"):
+            with pytest.raises(DimensionMismatch):
+                counterfactual.batch_generate(
+                    np.zeros((2, 3)), variant=variant,
+                    **_variant_kwargs(toy_fit, variant, toy_classifier))
 
     def test_diverging_row_is_isolated(self, toy_fit, toy_ood):
         rows = np.vstack([toy_ood[0], np.array([1e200, 1e200]), toy_ood[1]])
@@ -272,22 +527,70 @@ class TestBatch:
         assert [r.failed for r in results] == [False, True, False]
         assert "NonFiniteLoss" in results[1].error
 
-    def test_threaded_matches_serial(self, toy_fit, toy_ood, monkeypatch):
-        cfg = GenerationConfig()
-        serial = counterfactual.batch_generate(
-            toy_ood[:8], variant="full", model=toy_fit.model,
-            projection=toy_fit.projection, cfg=cfg)
-        monkeypatch.setenv("OODCF_THREADS", "4")
-        threaded = counterfactual.batch_generate(
-            toy_ood[:8], variant="full", model=toy_fit.model,
-            projection=toy_fit.projection, cfg=cfg)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.x_counterfactual, b.x_counterfactual)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_diverging_row_each_variant(self, toy_fit, toy_ood, toy_classifier, variant):
+        # a squared Mahalanobis distance overflows at 1e200; CFI needs a row
+        # whose standardization overflows
+        bad = np.array([1.7e308, -1.7e308] if variant == "cfi" else [1e200, 1e200])
+        rows = np.vstack([toy_ood[0], bad, toy_ood[1]])
+        kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = counterfactual.batch_generate(rows, variant=variant, **kwargs)
+        assert [r.failed for r in results] == [False, True, False]
+        with pytest.raises(NonFiniteLoss) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's own
+            if variant == "cfi":
+                t = int(np.argmax(toy_classifier.predict_proba(bad)))
+                _oracle_cfi(bad, toy_classifier, CfiConfig(), t)
+            else:
+                t = counterfactual.select_target(toy_fit.model, toy_fit.projection, bad)
+                _oracle_generate(bad, toy_fit.model, toy_fit.projection,
+                                 GenerationConfig(), variant, t)
+        assert results[1].error == f"NonFiniteLoss: {info.value}"
+        for i in (0, 2):
+            single = counterfactual.batch_generate(rows[i], variant=variant, **kwargs)[0]
+            assert np.array_equal(results[i].x_counterfactual, single.x_counterfactual)
 
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.setenv("OODCF_THREADS", "3")
-        assert counterfactual.worker_count() == 3
-        monkeypatch.setenv("OODCF_THREADS", "junk")
-        assert counterfactual.worker_count() == 1
-        monkeypatch.delenv("OODCF_THREADS")
-        assert counterfactual.worker_count() == 1
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_finite_start_is_flagged(self, toy_fit, toy_ood, toy_classifier,
+                                         variant):
+        # the per-row loops passed a NaN starting loss as a finished row
+        rows = np.vstack([toy_ood[0], [np.inf, 0.0]])
+        kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = counterfactual.batch_generate(rows, variant=variant, **kwargs)
+        assert not results[0].failed
+        assert "diverged at step 1" in results[1].error
+
+    def test_one_row_divergence_raises_with_trajectory(self, toy_fit):
+        with pytest.raises(NonFiniteLoss, match="non_dis phase diverged at step 1") as info:
+            counterfactual.generate(np.array([1e200, 1e200]), toy_fit.model,
+                                    toy_fit.projection, GenerationConfig())
+        trace = info.value.trajectory
+        assert trace.phase == "non_dis" and trace.steps == 0
+        assert trace.points.shape == (1, 2)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_unrecorded_run_matches_recorded(self, toy_fit, toy_ood, toy_classifier,
+                                             variant):
+        kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+        recorded = counterfactual.batch_generate(toy_ood[:10], variant=variant, **kwargs)
+        bare = counterfactual.batch_generate(toy_ood[:10], variant=variant,
+                                             record=False, **kwargs)
+        for a, b in zip(recorded, bare):
+            assert b.trajectories == [] and len(a.trajectories) >= 1
+            assert np.array_equal(a.x_counterfactual, b.x_counterfactual)
+            assert a.steps_taken == b.steps_taken
+            assert a.losses_before == b.losses_before
+            assert a.losses_after == b.losses_after
+
+    def test_select_target_batch(self, toy_fit, toy_ood):
+        batch = counterfactual.select_target(toy_fit.model, toy_fit.projection, toy_ood)
+        assert batch.dtype.kind == "i" and batch.shape == (len(toy_ood),)
+        singles = [counterfactual.select_target(toy_fit.model, toy_fit.projection, x)
+                   for x in toy_ood]
+        assert all(type(t) is int for t in singles)
+        assert batch.tolist() == singles
+        assert set(singles) == {0, 1}

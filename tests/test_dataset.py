@@ -68,6 +68,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="absent.csv"):
             dataset.load_csv(missing, "label")
 
+    def test_non_utf8_byte_is_malformed(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("caf\u00e9,label\n1,0\n".encode("latin-1"))
+        with pytest.raises(MalformedFile, match=r"latin1\.csv: not UTF-8 text: "
+                                                r"byte 0xe9 at offset 3"):
+            dataset.load_csv(path, "label")
+
 
 def wine_style_table():
     rows = "\n".join(f"{v},{v + 1},{c}" for v, c in
