@@ -16,6 +16,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -146,6 +147,7 @@ _FILE_KEYS = {
     ("run", "out"): ("out", str),
     ("run", "emit_trajectories"): ("emit_trajectories", lambda s: s.lower() in ("1", "true", "yes")),
 }
+_FLOAT_KNOBS = ("slack", "alpha", "stop_quantile", "cfi_lambda", "train_fraction")
 
 
 def load_config_file(path: str) -> dict:
@@ -191,8 +193,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.emit_trajectories = True
     if getattr(args, "data", None):
         cfg.source = "csv"
+    # checked here, before any data is read, whether a value came from a
+    # flag or from the config file
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"bad --seeds {min(cfg.seeds)}; seeds must be >= 0")
+    if cfg.k < 0:
+        raise ConfigError(f"bad --k {cfg.k}; must be >= 0 (0 = input dimensionality)")
+    for attr in _FLOAT_KNOBS:
+        if not math.isfinite(getattr(cfg, attr)):
+            raise ConfigError(f"bad --{attr.replace('_', '-')} {getattr(cfg, attr)}; "
+                              "must be a finite number")
     return cfg
 
 
@@ -531,8 +543,9 @@ def cmd_score(cfg: RunConfig) -> int:
     ln, ld = ood_scores(fit.model, fit.projection, test.features)
     mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label).score(Z)
     marg = MarginalMahalanobisScorer.fit(fit.Z_train).score(Z)
-    rows = [(i, ln[i], ld[i], ln[i] + ld[i], mah[i], marg[i],
-             int(test.ood_flag[i])) for i in range(test.n_rows)]
+    # Python floats from tolist() print by repr, the same text as numpy's str
+    rows = zip(range(test.n_rows), ln.tolist(), ld.tolist(), (ln + ld).tolist(),
+               mah.tolist(), marg.tolist(), test.ood_flag.astype(int).tolist())
     write_csv(out / "scores.csv",
               ["row_id", "l_n", "l_d", "l_total", "mahalanobis",
                "marginal_mahalanobis", "ood_flag"], rows, cfg)

@@ -33,25 +33,24 @@ def l1_distance(x, x_prime, standardized: bool = False, scale=None) -> float:
 
 
 def auroc(positive_scores, negative_scores) -> float:
-    """P(positive > negative) with ties counting one half, via average ranks."""
+    """P(positive > negative) with ties counting one half, via average ranks.
+
+    Equal scores share the mean of their ranks. NaN compares unequal to
+    everything, itself included, so each NaN is a tie group of its own;
+    the stable sort puts NaNs last, in input order (positives first).
+    """
     pos = np.asarray(positive_scores, dtype=float).ravel()
     neg = np.asarray(negative_scores, dtype=float).ravel()
     if pos.size == 0 or neg.size == 0:
         raise EmptyInput("auroc needs at least one score on each side")
     scores = np.concatenate([pos, neg])
     order = np.argsort(scores, kind="stable")
+    # tie groups are the runs of equal values in the sorted scores
+    s = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
     ranks = np.empty(scores.size)
-    ranks[order] = np.arange(1, scores.size + 1, dtype=float)
-    # average the ranks within each tie group
-    sorted_scores = scores[order]
-    i = 0
-    while i < sorted_scores.size:
-        j = i
-        while j + 1 < sorted_scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -6,9 +7,13 @@ import pytest
 
 from oodcf import cli
 from oodcf.dataset import OodRule
+from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
 from oodcf.errors import ConfigError
+from oodcf.projection import project
 
-WINE = Path(__file__).resolve().parent.parent / "data" / "wine_like.csv"
+ROOT = Path(__file__).resolve().parent.parent
+WINE = ROOT / "data" / "wine_like.csv"
+CONFIG = ROOT / "configs" / "wine_like.ini"
 
 
 def run_cli(args):
@@ -183,6 +188,32 @@ class TestScoreCommand:
         for r in rows[1:3]:
             assert float(r[1]) + float(r[2]) == float(r[3])
 
+    def test_bytes_match_numpy_scalar_rows(self, tmp_path):
+        # scores.csv writes Python floats from tolist(); csv prints them by
+        # repr, which must give the text numpy scalars gave cell by cell
+        argv = ["score", "--seeds", "0", "--n-per-class", "300", "--n-ood", "200",
+                "--out", tmp_path / "s"]
+        assert run_cli(argv) == 0
+        blob = (tmp_path / "s" / "scores.csv").read_bytes()
+        cfg = cli.build_config(cli.make_parser().parse_args([str(a) for a in argv]))
+        cfg.k = 2
+        fit = cli.fit_pipeline(cfg, 0)
+        test = fit.test
+        Z = project(fit.projection, test.features)
+        ln, ld = ood_scores(fit.model, fit.projection, test.features)
+        mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label).score(Z)
+        marg = MarginalMahalanobisScorer.fit(fit.Z_train).score(Z)
+        rows = [(i, ln[i], ld[i], ln[i] + ld[i], mah[i], marg[i],
+                 int(test.ood_flag[i])) for i in range(test.n_rows)]
+        expected = io.StringIO()
+        expected.write(f"# config: {cli._provenance(cfg)}\n")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["row_id", "l_n", "l_d", "l_total", "mahalanobis",
+                         "marginal_mahalanobis", "ood_flag"])
+        writer.writerows(rows)
+        assert test.n_rows == 320
+        assert blob == expected.getvalue().encode("utf-8")
+
 
 NAN9 = ("f1,f2,target\n0.1,1.2,0\n0.5,0.7,0\n-0.3,1.1,0\n0.2,0.4,0\n"
         "3.1,-0.2,1\n2.7,0.3,1\n3.4,0.6,1\n2.9,-0.5,1\n1.5,nan,2\n")
@@ -242,6 +273,34 @@ class TestBadInputExitCodes:
         assert code == 3
         record = json.loads((tmp_path / "from_file" / "error.json").read_text())
         assert record["error"] == "EmptyPartition"
+
+    @pytest.mark.parametrize("flag, argv", [
+        ("--seeds", ["run", "--seeds", "-1"]),
+        ("--k", ["partition", "--k", "-3"]),
+        ("--slack", ["partition", "--config", CONFIG, "--slack", "nan"]),
+        ("--alpha", ["run", "--alpha", "nan"]),
+        ("--stop-quantile", ["run", "--stop-quantile", "inf"]),
+        ("--cfi-lambda", ["run", "--cfi-lambda=-inf"]),
+        ("--train-fraction", ["score", "--train-fraction", "nan"]),
+    ])
+    def test_bad_flag_value(self, tmp_path, capsys, flag, argv):
+        out = tmp_path / "o"
+        assert run_cli(argv + ["--out", out]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert f"bad {flag} " in record["message"]
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_bad_config_file_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text("[partition]\nslack = nan\n[run]\nseeds = 0\n",
+                            encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(["partition", "--config", cfg_file, "--out", out]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert "bad --slack nan" in record["message"]
 
 
 class TestConfigFile:

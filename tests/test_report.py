@@ -20,6 +20,30 @@ def pairwise_auroc(pos, neg):
     return wins / (len(pos) * len(neg))
 
 
+def loop_auroc(positive_scores, negative_scores) -> float:
+    """The tie loop `report.auroc` used before its tie groups were vectorized."""
+    pos = np.asarray(positive_scores, dtype=float).ravel()
+    neg = np.asarray(negative_scores, dtype=float).ravel()
+    if pos.size == 0 or neg.size == 0:
+        raise EmptyInput("auroc needs at least one score on each side")
+    scores = np.concatenate([pos, neg])
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    ranks[order] = np.arange(1, scores.size + 1, dtype=float)
+    # average the ranks within each tie group
+    sorted_scores = scores[order]
+    i = 0
+    while i < sorted_scores.size:
+        j = i
+        while j + 1 < sorted_scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    return float(u / (pos.size * neg.size))
+
+
 class TestL1Distance:
     def test_identity(self):
         assert report.l1_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
@@ -88,6 +112,63 @@ class TestAuroc:
         base = report.auroc(pos, neg)
         assert report.auroc(np.exp(pos), np.exp(neg)) == pytest.approx(base)
         assert report.auroc(3 * pos + 7, 3 * neg + 7) == pytest.approx(base)
+
+
+class TestAurocAgainstLoop:
+    """The vectorized tie groups give bit-identical AUROCs to the old loop."""
+
+    @staticmethod
+    def check(pos, neg):
+        got = report.auroc(pos, neg)
+        assert got == loop_auroc(pos, neg)
+        return got
+
+    def test_heavy_ties(self):
+        gen = np.random.default_rng(1)
+        for decimals in (0, 1, 2):
+            for n_pos, n_neg in ((3, 500), (200, 300), (1000, 40)):
+                pos = np.round(gen.normal(0.5, 1.0, n_pos), decimals)
+                neg = np.round(gen.normal(size=n_neg), decimals)
+                self.check(pos, neg)
+
+    def test_all_equal(self):
+        assert self.check(np.full(5, 2.0), np.full(7, 2.0)) == 0.5
+
+    def test_infinities(self):
+        inf = np.inf
+        self.check([inf, 1.0, -inf, inf], [-inf, 0.0, inf, 1.0])
+        self.check([inf, inf], [inf])
+        assert self.check([inf], [-inf]) == 1.0
+
+    @pytest.mark.parametrize("side", ["pos", "neg", "both"])
+    def test_nan_is_its_own_tie_group(self, side):
+        gen = np.random.default_rng(2)
+        pos = np.round(gen.normal(size=30), 1)
+        neg = np.round(gen.normal(size=40), 1)
+        if side in ("pos", "both"):
+            pos[[0, 5, 6]] = np.nan
+        if side in ("neg", "both"):
+            neg[[3, 4]] = np.nan
+        self.check(pos, neg)
+        self.check([np.nan, np.nan], [np.nan])
+
+    def test_one_element_sides(self):
+        gen = np.random.default_rng(3)
+        many = np.round(gen.normal(size=50), 1)
+        for one in ([0.0], [many[7]], [np.inf], [np.nan]):
+            self.check(one, many)
+            self.check(many, one)
+            self.check(one, [0.0])
+
+    @pytest.mark.parametrize("decimals", [None, 3])
+    def test_toy_score_size(self, decimals):
+        # one toy-score AUROC call: 40000 ID test scores against 100000 OOD
+        gen = np.random.default_rng(4)
+        pos = gen.normal(1.0, 1.0, 40_000)
+        neg = gen.normal(size=100_000)
+        if decimals is not None:
+            pos, neg = np.round(pos, decimals), np.round(neg, decimals)
+        self.check(pos, neg)
 
 
 def fake_results(points):
