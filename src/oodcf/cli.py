@@ -147,7 +147,18 @@ _FILE_KEYS = {
     ("run", "out"): ("out", str),
     ("run", "emit_trajectories"): ("emit_trajectories", lambda s: s.lower() in ("1", "true", "yes")),
 }
-_FLOAT_KNOBS = ("slack", "alpha", "stop_quantile", "cfi_lambda", "train_fraction")
+# the range of each numeric knob, as the library enforces it; `build_config`
+# checks it before any data is read (NaN fails every comparison)
+_KNOB_RANGES = {
+    "k": (lambda v: v >= 0, ">= 0 (0 = input dimensionality)"),
+    "slack": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "cap": (lambda v: v >= 2, ">= 2"),
+    "alpha": (lambda v: 0 < v < math.inf, "a finite number > 0"),
+    "max_iter": (lambda v: v >= 1, ">= 1"),
+    "stop_quantile": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "cfi_lambda": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    "train_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -199,12 +210,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("need at least one seed")
     if min(cfg.seeds) < 0:
         raise ConfigError(f"bad --seeds {min(cfg.seeds)}; seeds must be >= 0")
-    if cfg.k < 0:
-        raise ConfigError(f"bad --k {cfg.k}; must be >= 0 (0 = input dimensionality)")
-    for attr in _FLOAT_KNOBS:
-        if not math.isfinite(getattr(cfg, attr)):
+    for attr, (ok, rule) in _KNOB_RANGES.items():
+        if not ok(getattr(cfg, attr)):
             raise ConfigError(f"bad --{attr.replace('_', '-')} {getattr(cfg, attr)}; "
-                              "must be a finite number")
+                              f"must be {rule}")
     return cfg
 
 

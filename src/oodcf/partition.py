@@ -11,14 +11,34 @@ minima are z-score-normalized, and the smallest cardinality within a slack
 threshold of the best normalized value becomes z_d.
 
 The search fits each class's mean and covariance once on all k latents; a
-subset's QDA parameters are the principal submatrices of those moments.
-Subsets of one cardinality are scored in fixed-size chunks with one batched
-Cholesky factorization and one batched solve per chunk, so peak memory does
-not grow with C(k, c).
+subset's QDA parameters are the principal submatrices of those moments. The
+entropies come from a walk over the subset tree. For a subset S and the dims
+j above every dim of S, the walk keeps, per class: the Mahalanobis sums of
+the eval rows and the log-determinant so far, the eval-row residuals of those
+dims conditioned on S, and their conditional covariance. Growing S by its
+next dim j is one Schur-complement step: the pivot d^2 = Sigma_jj|S adds
+r_j^2 / d^2 to the sums and log d^2 to the log-determinant, and one rank-one
+update conditions the remaining residuals and covariance on j. Dims are added
+in increasing order, so the pivots are those of the Cholesky factorization
+of the sorted principal submatrix. The walk is depth first over batches of
+at most `_CHUNK` subsets whose arrays share one width, so memory stays
+bounded at any k, and each entropy is written at its `combinations` position
+through a mask -> position table built once per search.
+
+A pivot that is non-finite or not above `_PIVOT_FLOOR` times the dim's
+variance Sigma_jj has lost most of its digits to cancellation, and there a
+direct factorization, whose failure decides the covariance ridge, may judge
+the submatrix differently. Such a subset and every subset grown from it are
+scored directly instead: a batched Cholesky factorization and solve on the
+principal submatrices, with the ridge escalation of
+`GaussianComponent.from_moments` where one fails. A non-finite class
+covariance gives non-finite pivots, so it reaches the direct path too, which
+raises `SingularCovariance`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, islice
@@ -37,7 +57,8 @@ from .errors import (
 
 DEFAULT_SLACK = 0.10
 DEFAULT_CAP = 20
-_CHUNK = 128  # subsets per batched factorization
+_CHUNK = 64  # subsets per batch in the subset tree and in the direct path
+_PIVOT_FLOOR = 1e-8  # relative to the dim's variance; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -85,18 +106,6 @@ def fit_qda(Z: np.ndarray, Y: np.ndarray) -> QdaModel:
                                 for m, s in zip(means, covs)], priors=priors)
 
 
-def bernoulli_entropy(p: float) -> float:
-    """h(p) = -p log2 p - (1-p) log2(1-p), with h(0) = h(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"probability {p} outside [0, 1]")
-    out = 0.0
-    if p > 0.0:
-        out -= p * np.log2(p)
-    if p < 1.0:
-        out -= (1.0 - p) * np.log2(1.0 - p)
-    return float(out)
-
-
 def _posterior_entropy_bits(P: np.ndarray) -> np.ndarray:
     """Categorical entropy in bits over the last axis, with 0*log0 -> 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,20 +121,6 @@ def conditional_entropy(model: QdaModel, Z_eval: np.ndarray) -> float:
     """
     P = model.posterior(Z_eval)
     return float(_posterior_entropy_bits(P).mean())
-
-
-def partition_loss(subset, Z_train, Y_train, Z_eval) -> float:
-    """H[Yhat|Z_subset] - H[Yhat|Z_complement], both evaluated on Z_eval."""
-    Z_train = np.asarray(Z_train, dtype=float)
-    Z_eval = np.asarray(Z_eval, dtype=float)
-    k = Z_train.shape[1]
-    subset = tuple(sorted(subset))
-    comp = tuple(i for i in range(k) if i not in subset)
-    if not subset or not comp:
-        raise OutOfRange("subset and complement must both be non-empty")
-    h_sub = conditional_entropy(fit_qda(Z_train[:, subset], Y_train), Z_eval[:, subset])
-    h_comp = conditional_entropy(fit_qda(Z_train[:, comp], Y_train), Z_eval[:, comp])
-    return h_sub - h_comp
 
 
 def _class_moments(Z: np.ndarray, Y: np.ndarray):
@@ -170,24 +165,111 @@ def _factor(means: np.ndarray, covs: np.ndarray):
             np.array([g.log_det for g in comps]).reshape(covs.shape[:-2]))
 
 
-def _subset_entropies(means, covs, priors, Z_eval, c: int) -> np.ndarray:
-    """Mean posterior entropy (bits) on Z_eval of the QDA restricted to each
-    c-subset of the latent dims, in `combinations` order."""
-    k = means.shape[1]
-    Zt = Z_eval.T
-    log_priors = np.log(priors)[:, None, None]
-    subsets = combinations(range(k), c)
+def _mean_entropy(lj: np.ndarray) -> np.ndarray:
+    """Mean over the eval rows of the posterior entropy (bits) from log joints
+    shaped (..., n, C)."""
+    return _posterior_entropy_bits(_softmax(lj)).mean(axis=-1)
+
+
+def _direct_entropies(means, covs, log_priors, Zt, idx) -> np.ndarray:
+    """Entropies of the subsets in the rows of `idx` (B, c), each QDA factored
+    from its principal submatrices, `_CHUNK` subsets per batched factorization
+    and solve."""
+    c = idx.shape[1]
     out = []
-    while (idx := np.array(list(islice(subsets, _CHUNK)))).size:   # (B, c)
-        sub_means = means[:, idx]                                   # (C, B, c)
-        chol, log_det = _factor(sub_means, covs[:, idx[:, :, None], idx[:, None, :]])
-        y = np.linalg.solve(chol, Zt[idx] - sub_means[..., None])   # (C, B, c, n)
+    for start in range(0, len(idx), _CHUNK):
+        chunk = idx[start:start + _CHUNK]                              # (B, c)
+        sub_means = means[:, chunk]                                    # (C, B, c)
+        chol, log_det = _factor(sub_means, covs[:, chunk[:, :, None], chunk[:, None, :]])
+        y = np.linalg.solve(chol, Zt[chunk] - sub_means[..., None])   # (C, B, c, n)
         with np.errstate(over="ignore"):
-            quad = (y * y).sum(axis=-2)                             # (C, B, n)
-        lj = -(0.5 * (c * LOG_2PI + log_det[..., None] + quad)) + log_priors
-        P = _softmax(np.moveaxis(lj, 0, -1))                        # (B, n, C)
-        out.append(_posterior_entropy_bits(P).mean(axis=-1))
+            quad = (y * y).sum(axis=-2)                                # (C, B, n)
+        lj = -(0.5 * (c * LOG_2PI + log_det[..., None] + quad)) + log_priors[:, None, None]
+        out.append(_mean_entropy(np.moveaxis(lj, 0, -1)))
     return np.concatenate(out)
+
+
+def _positions(k: int):
+    """Where each subset, given as a bit mask, sits in the concatenation over
+    c = 0..k of `combinations(range(k), c)`; also the offset of each c."""
+    rank = np.zeros(1, dtype=np.int32)
+    pop = np.zeros(1, dtype=np.int8)
+    for b in range(k - 1, -1, -1):
+        # put element b below b+1..k-1: in lexicographic order the p-subsets
+        # containing b come first, and C(k-1-b, p-1) of them precede the rest
+        ahead = np.array([0] + [math.comb(k - 1 - b, p - 1) for p in range(1, k - b + 1)],
+                         dtype=np.int32)
+        rank = np.stack([rank + ahead[pop], rank], axis=1).ravel()
+        pop = np.stack([pop, pop + 1], axis=1).ravel()
+    offsets = np.cumsum([0] + [math.comb(k, c) for c in range(k + 1)], dtype=np.int32)
+    return offsets[pop] + rank, offsets
+
+
+def _schur_step(q, ld, R, V, log_priors):
+    """Grow each subset by the first dim of its state: the grown subsets'
+    entropies and their state (see `_subset_entropies`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = V[:, :, 0, :1]                                             # pivots, (B, C, 1)
+        r = R[:, :, 0]                                                 # (B, C, n)
+        q = q + r * r / p
+        ld = ld + np.log(p[..., 0])
+        # the c log(2 pi) term is common to all classes and cancels
+        h = _mean_entropy(np.swapaxes(log_priors[:, None] - 0.5 * (ld[..., None] + q), 1, 2))
+        g = (V[:, :, 0, 1:] / p)[..., None]                            # (B, C, w-1, 1)
+        return (h, q, ld, R[:, :, 1:] - g * r[:, :, None],
+                V[:, :, 1:, 1:] - g * V[:, :, None, 0, 1:])
+
+
+def _subset_entropies(means, covs, priors, Z_eval) -> list[np.ndarray]:
+    """Mean posterior entropy (bits) on Z_eval of the QDA restricted to each
+    subset of the latent dims: item c holds the c-subsets in `combinations`
+    order, for 0 < c < k."""
+    k = means.shape[1]
+    pos, offsets = _positions(k)
+    full = (1 << k) - 1
+    H = np.zeros(1 << k)
+    log_priors = np.log(priors)
+    floor = _PIVOT_FLOOR * np.diagonal(covs, axis1=1, axis2=2)        # (C, k)
+    direct = []  # masks left to `_direct_entropies`
+
+    def expand(d, masks, q, ld, R, V):
+        # B subsets of the dims below d (bit masks), with per class: the
+        # Mahalanobis sums q (B, C, n) and log-determinants ld (B, C) so far,
+        # the residuals R (B, C, k-d, n) of dims d.. on the eval rows given
+        # the subset, and their conditional covariance V (B, C, k-d, k-d)
+        inc = masks | (1 << d)
+        piv = V[:, :, 0, 0]
+        live = inc != full  # the full set is no proper subset
+        ok = (piv > floor[:, d]).all(axis=1) & np.isfinite(piv).all(axis=1) & live
+        sel = slice(None)
+        if not ok.all():
+            bad = inc[live & ~ok]
+            direct.append((bad[:, None] | (np.arange(1 << (k - 1 - d)) << (d + 1))).ravel())
+            sel = ok
+        h, *grown = _schur_step(q[sel], ld[sel], R[sel], V[sel], log_priors)
+        H[pos[inc[sel]]] = h
+        if d + 1 == k:
+            return []
+        pair = [(inc[sel], *grown), (masks, q, ld, R[:, :, 1:], V[:, :, 1:, 1:])]
+        if 2 * len(masks) <= _CHUNK:
+            pair = [tuple(map(np.concatenate, zip(*pair)))]
+        return [(d + 1, *state) for state in pair if len(state[0])]
+
+    stack = [(0, np.zeros(1, dtype=np.int64), np.zeros((1, len(covs), len(Z_eval))),
+              np.zeros((1, len(covs))), (Z_eval.T - means[:, :, None])[None], covs[None])]
+    while stack:
+        stack += expand(*stack.pop())
+    if direct:
+        masks = np.concatenate(direct)
+        masks = masks[masks != full]
+        masks = masks[np.argsort(pos[masks])]
+        bits = (masks[:, None] >> np.arange(k)) & 1
+        card = bits.sum(axis=1)
+        for c in np.unique(card):
+            sel = card == c
+            H[pos[masks[sel]]] = _direct_entropies(
+                means, covs, log_priors, Z_eval.T, np.nonzero(bits[sel])[1].reshape(-1, c))
+    return [H[offsets[c]:offsets[c + 1]] for c in range(k + 1)]
 
 
 @dataclass(frozen=True)
@@ -239,9 +321,7 @@ def search_partition(Z_train, Y_train, Z_eval, slack: float = DEFAULT_SLACK,
     if Z_eval.shape[1] != k:
         raise DimensionMismatch("train and eval latent dimensionality differ")
 
-    means, covs, priors = _class_moments(Z_train, Y_train)
-    entropy = {c: _subset_entropies(means, covs, priors, Z_eval, c)
-               for c in range(1, k)}
+    entropy = _subset_entropies(*_class_moments(Z_train, Y_train), Z_eval)
     best_per_card: list[tuple[int, tuple[int, ...], float]] = []
     for c in range(1, k):
         # the complement of the i-th c-subset is the (N-1-i)-th (k-c)-subset

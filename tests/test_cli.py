@@ -282,6 +282,16 @@ class TestBadInputExitCodes:
         ("--stop-quantile", ["run", "--stop-quantile", "inf"]),
         ("--cfi-lambda", ["run", "--cfi-lambda=-inf"]),
         ("--train-fraction", ["score", "--train-fraction", "nan"]),
+        ("--alpha", ["run", "--alpha", "-1"]),
+        ("--cfi-lambda", ["run", "--cfi-lambda", "-1"]),
+        ("--slack", ["partition", "--slack", "-0.5"]),
+        ("--stop-quantile", ["run", "--stop-quantile", "0"]),
+        ("--stop-quantile", ["run", "--stop-quantile", "1.5"]),
+        ("--train-fraction", ["run", "--train-fraction", "1.5"]),
+        ("--train-fraction", ["score", "--train-fraction", "0"]),
+        ("--max-iter", ["run", "--max-iter", "0"]),
+        ("--cap", ["partition", "--cap", "-1"]),
+        ("--cap", ["toy", "--cap", "1"]),
     ])
     def test_bad_flag_value(self, tmp_path, capsys, flag, argv):
         out = tmp_path / "o"

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,35 @@ from oodcf.errors import (
     OutOfRange,
     SingularCovariance,
 )
+
+
+def bernoulli_entropy(p: float) -> float:
+    """h(p) = -p log2 p - (1-p) log2(1-p), with h(0) = h(1) = 0."""
+    if not 0.0 <= p <= 1.0:
+        raise OutOfRange(f"probability {p} outside [0, 1]")
+    out = 0.0
+    if p > 0.0:
+        out -= p * np.log2(p)
+    if p < 1.0:
+        out -= (1.0 - p) * np.log2(1.0 - p)
+    return float(out)
+
+
+def partition_loss(subset, Z_train, Y_train, Z_eval) -> float:
+    """H[Yhat|Z_subset] - H[Yhat|Z_complement], both evaluated on Z_eval, from
+    one `fit_qda` per side."""
+    Z_train = np.asarray(Z_train, dtype=float)
+    Z_eval = np.asarray(Z_eval, dtype=float)
+    k = Z_train.shape[1]
+    subset = tuple(sorted(subset))
+    comp = tuple(i for i in range(k) if i not in subset)
+    if not subset or not comp:
+        raise OutOfRange("subset and complement must both be non-empty")
+    h_sub = partition.conditional_entropy(
+        partition.fit_qda(Z_train[:, subset], Y_train), Z_eval[:, subset])
+    h_comp = partition.conditional_entropy(
+        partition.fit_qda(Z_train[:, comp], Y_train), Z_eval[:, comp])
+    return h_sub - h_comp
 
 
 def separated_1d(n=200, gap=3.0, scale=1.0, seed=0):
@@ -68,27 +99,27 @@ class TestFitQda:
 
 class TestBernoulliEntropy:
     def test_maximum(self):
-        assert partition.bernoulli_entropy(0.5) == 1.0
+        assert bernoulli_entropy(0.5) == 1.0
 
     def test_degenerate_ends(self):
-        assert partition.bernoulli_entropy(0.0) == 0.0
-        assert partition.bernoulli_entropy(1.0) == 0.0
+        assert bernoulli_entropy(0.0) == 0.0
+        assert bernoulli_entropy(1.0) == 0.0
 
     def test_quarter(self):
         # -0.25*log2(0.25) - 0.75*log2(0.75), evaluated at high precision
-        assert partition.bernoulli_entropy(0.25) == pytest.approx(
+        assert bernoulli_entropy(0.25) == pytest.approx(
             0.8112781244591328, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            partition.bernoulli_entropy(1.5)
+            bernoulli_entropy(1.5)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.0, 1.0))
     def test_bounds_and_symmetry(self, p):
-        h = partition.bernoulli_entropy(p)
+        h = bernoulli_entropy(p)
         assert 0.0 <= h <= 1.0
-        assert h == pytest.approx(partition.bernoulli_entropy(1.0 - p), abs=1e-12)
+        assert h == pytest.approx(bernoulli_entropy(1.0 - p), abs=1e-12)
 
 
 class TestConditionalEntropy:
@@ -110,6 +141,13 @@ class TestConditionalEntropy:
         h = partition.conditional_entropy(model, toy_fit.Z_eval[:, [1]])
         assert abs(h - 1.0) <= 0.02
 
+    def test_two_classes_is_mean_bernoulli_entropy(self):
+        Z, Y = separated_1d(gap=1.0, seed=9)
+        model = partition.fit_qda(Z, Y)
+        Ze = np.linspace(-4, 4, 33)[:, None]
+        expected = np.mean([bernoulli_entropy(p) for p in model.posterior(Ze)[:, 1]])
+        assert partition.conditional_entropy(model, Ze) == pytest.approx(expected, abs=1e-12)
+
     def test_binary_entropy_range(self):
         Z, Y = separated_1d(gap=0.5, seed=5)
         model = partition.fit_qda(Z, Y)
@@ -119,14 +157,14 @@ class TestConditionalEntropy:
 
 class TestPartitionLoss:
     def test_toy_pc1_subset(self, toy_fit):
-        loss = partition.partition_loss(
+        loss = partition_loss(
             (0,), toy_fit.Z_train, toy_fit.train.class_label, toy_fit.Z_eval)
         assert loss == pytest.approx(-0.998, abs=0.02)
 
     def test_toy_sign_flip(self, toy_fit):
-        a = partition.partition_loss(
+        a = partition_loss(
             (0,), toy_fit.Z_train, toy_fit.train.class_label, toy_fit.Z_eval)
-        b = partition.partition_loss(
+        b = partition_loss(
             (1,), toy_fit.Z_train, toy_fit.train.class_label, toy_fit.Z_eval)
         assert b == -a
 
@@ -135,12 +173,12 @@ class TestPartitionLoss:
         base = gen.normal(size=(150, 2))
         Z = np.vstack([base, base])
         Y = np.array([0] * 150 + [1] * 150)
-        loss = partition.partition_loss((0,), Z, Y, gen.normal(size=(40, 2)))
+        loss = partition_loss((0,), Z, Y, gen.normal(size=(40, 2)))
         assert loss == 0.0
 
     def test_empty_sides_rejected(self, toy_fit):
         with pytest.raises(OutOfRange):
-            partition.partition_loss(
+            partition_loss(
                 (0, 1), toy_fit.Z_train, toy_fit.train.class_label, toy_fit.Z_eval)
 
     @settings(max_examples=15, deadline=None)
@@ -156,8 +194,8 @@ class TestPartitionLoss:
         cut = int(gen.integers(1, k))
         sub = tuple(range(cut))
         comp = tuple(range(cut, k))
-        assert partition.partition_loss(sub, Z, Y, Ze) == \
-            -partition.partition_loss(comp, Z, Y, Ze)
+        assert partition_loss(sub, Z, Y, Ze) == \
+            -partition_loss(comp, Z, Y, Ze)
 
 
 def four_d_signal_data(seed=0, n=400, n_eval=200):
@@ -400,6 +438,53 @@ class TestBatchedSearchAgainstOracle:
         Z, _, Ze = mixed_class_data(13, 3, 2)
         with pytest.raises(DataError):
             partition.search_partition(Z, np.zeros(Z.shape[0], int), Ze)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 7), st.sampled_from([2, 3]))
+    def test_random_tables_one_subset_per_batch(self, seed, k, n_classes):
+        Z, Y, Ze = mixed_class_data(seed, k, n_classes)
+        batched = search_quiet(Z, Y, Ze)
+        with mock.patch.object(partition, "_CHUNK", 1):
+            single = search_quiet(Z, Y, Ze)
+        assert_matches_oracle(single, per_subset_oracle(Z, Y, Ze))
+        # a subset's arithmetic does not depend on the batch it shares
+        assert single.per_cardinality == batched.per_cardinality
+
+    def test_near_singular_column_is_factored_directly(self, monkeypatch):
+        Z, Y, Ze = mixed_class_data(11, 5, 2)
+        gen = np.random.default_rng(3)
+        Z[:, 3] = Z[:, 1] + 1e-6 * gen.normal(size=len(Z))
+        Ze[:, 3] = Ze[:, 1] + 1e-6 * gen.normal(size=len(Ze))
+        for c in (0, 1):
+            cov = np.cov(Z[Y == c][:, [1, 3]].T)
+            pivot = np.linalg.cholesky(cov)[1, 1] ** 2  # factors: tiny but positive
+            assert 0.0 < pivot < partition._PIVOT_FLOOR * cov[1, 1]
+        oracle = per_subset_oracle(Z, Y, Ze)
+
+        direct = set()
+        fit = partition._direct_entropies
+
+        def spy(means, covs, log_priors, Zt, idx):
+            direct.update(map(tuple, idx.tolist()))
+            return fit(means, covs, log_priors, Zt, idx)
+
+        monkeypatch.setattr(partition, "_direct_entropies", spy)
+        assert_matches_oracle(search_quiet(Z, Y, Ze), oracle)
+        # exactly the proper subsets holding both 1 and 3 skip the tree
+        assert direct == {sub for c in range(2, 5) for sub in combinations(range(5), c)
+                          if {1, 3} <= set(sub)}
+
+    def test_k13_search_memory(self):
+        # wine-sized: 104 train rows, 26 eval rows
+        Z, Y, Ze = mixed_class_data(15, 13, 2, n=52, n_eval=27)
+        partition.search_partition(Z, Y, Ze)
+        tracemalloc.start()
+        try:
+            partition.search_partition(Z, Y, Ze)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     @pytest.mark.parametrize("chunk", [partition._CHUNK, 7])
     def test_k13_chunks_split_cardinalities(self, k13_case, monkeypatch, chunk):
