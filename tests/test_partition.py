@@ -486,7 +486,7 @@ class TestBatchedSearchAgainstOracle:
             tracemalloc.stop()
         assert peak <= 2.5e6
 
-    @pytest.mark.parametrize("chunk", [partition._CHUNK, 7])
+    @pytest.mark.parametrize("chunk", [128, partition._CHUNK, 7])
     def test_k13_chunks_split_cardinalities(self, k13_case, monkeypatch, chunk):
         Z, Y, Ze, oracle = k13_case
         assert math.comb(13, 6) > chunk
