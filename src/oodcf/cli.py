@@ -6,8 +6,10 @@ Subcommands: `toy` (2D toy experiment: AUROC table plus SVG figures),
 
 Configuration comes from an INI-style key=value file with sections
 ([dataset], [projection], [partition], [generate], [cfi], [run]); flags
-override file values. Every output file embeds the resolved config for
-provenance. Exit codes: 2 config, 3 data, 4 numerical.
+override file values. Each `RunConfig` field states its own INI key, flag,
+converter and range, and both sources go through them. Every output file
+embeds the resolved config for provenance. Exit codes: 2 config, 3 data,
+4 numerical.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .counterfactual import (
+    ORDERS,
+    VARIANTS,
     CfiConfig,
     GenerationConfig,
     batch_generate,
@@ -58,27 +62,85 @@ TOY_TRACE_POINT = (0.0, 2.0)
 TOY_TRACE_TARGET = 1
 
 
+# -- config schema -------------------------------------------------------------
+
+def _ints(text: str) -> list:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _names(text: str) -> list:
+    return [v.strip() for v in text.split(",") if v.strip()]
+
+
+def _lookup(table: dict, fold=str):
+    """Converter from a word in `table` (after `fold`) to its value."""
+    def conv(text: str):
+        if fold(text) not in table:
+            raise ValueError(f"expected one of {', '.join(table)}")
+        return table[fold(text)]
+    return conv
+
+
+_boolean = _lookup(configparser.ConfigParser.BOOLEAN_STATES, str.lower)
+
+
+def _opt(default, section, conv=str, help="", ok=None, rule="", **names):
+    """A RunConfig field and its schema: the INI `[section] key`, the flag, the
+    converter from text, an optional range check `ok` with its `rule` text,
+    and the help. `names` may override `key` (default: the field name),
+    `flag` (default: --field-name; None for none) and `flag_conv`."""
+    kind = "default_factory" if callable(default) else "default"
+    return field(**{kind: default}, metadata=dict(
+        section=section, conv=conv, help=help, ok=ok, rule=rule, **names))
+
+
+def _flag(f) -> str | None:
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
 @dataclass
 class RunConfig:
-    source: str = "toy"              # toy | csv
-    data_path: str = ""
-    label_col: str = ""
-    ood_rule: str = ""               # class_equals:V | above_quartile:COL | equals:COL=V
-    n_per_class: int = 1000
-    n_ood: int = 1000
-    k: int = 0                       # 0: full input dimensionality (toy: 2)
-    slack: float = 0.10
-    cap: int = 20
-    order: str = "non_dis_first"
-    alpha: float = 0.05
-    max_iter: int = 500
-    stop_quantile: float = 0.5
-    cfi_lambda: float = 0.1
-    variants: list = field(default_factory=lambda: ["full", "sg", "sn", "sd", "cfi"])
-    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
-    train_fraction: float = 0.8
-    out: str = "out"
-    emit_trajectories: bool = False
+    source: str = _opt("toy", "dataset", ok=lambda v: v in ("toy", "csv"),
+                       rule="toy or csv", flag=None)
+    data_path: str = _opt("", "dataset", help="CSV dataset path (switches source to csv)",
+                          key="path", flag="--data")
+    label_col: str = _opt("", "dataset", help="label column name")
+    ood_rule: str = _opt("", "dataset",
+                         help="class_equals:V | above_quartile:COL | equals:COL=V")
+    n_per_class: int = _opt(1000, "dataset", int, "toy rows per class",
+                            ok=lambda v: v >= 1, rule=">= 1")
+    n_ood: int = _opt(1000, "dataset", int, "toy OOD rows", ok=lambda v: v >= 1, rule=">= 1")
+    k: int = _opt(0, "projection", int, "latent dims (0 = input dimensionality)",
+                  ok=lambda v: v >= 0, rule=">= 0 (0 = input dimensionality)")
+    slack: float = _opt(0.10, "partition", float, "partition threshold slack",
+                        ok=lambda v: 0 <= v < math.inf, rule="a finite number >= 0")
+    cap: int = _opt(20, "partition", int, "partition search dimensionality cap",
+                    ok=lambda v: v >= 2, rule=">= 2")
+    order: str = _opt("non_dis_first", "generate",
+                      help="step order: nd = non-dis first, dn = dis first",
+                      ok=lambda v: v in ORDERS, rule=" or ".join(ORDERS),
+                      flag_conv=_lookup(ORDER_NAMES))
+    alpha: float = _opt(0.05, "generate", float, "gradient step size",
+                        ok=lambda v: 0 < v < math.inf, rule="a finite number > 0")
+    max_iter: int = _opt(500, "generate", int, "iterations per step",
+                         ok=lambda v: v >= 1, rule=">= 1")
+    stop_quantile: float = _opt(0.5, "generate", float,
+                                "ID-train NLL quantile where a step stops",
+                                ok=lambda v: 0 < v <= 1, rule="in (0, 1]")
+    cfi_lambda: float = _opt(0.1, "cfi", float, "CFI L1 weight",
+                             ok=lambda v: 0 <= v < math.inf, rule="a finite number >= 0",
+                             key="lambda")
+    variants: list = _opt(lambda: list(VARIANTS), "run", _names,
+                          f"comma list from {','.join(VARIANTS)}",
+                          ok=lambda v: v and set(v) <= set(VARIANTS),
+                          rule=f"a comma list from {','.join(VARIANTS)}")
+    seeds: list = _opt(lambda: [0, 1, 2, 3, 4], "run", _ints, "comma list of integer seeds",
+                       ok=lambda v: v and min(v) >= 0, rule="one or more integers >= 0")
+    train_fraction: float = _opt(0.8, "run", float, "share of rows in the train split",
+                                 ok=lambda v: 0 < v < 1, rule="in (0, 1)")
+    out: str = _opt("out", "run", help="output directory")
+    emit_trajectories: bool = _opt(False, "run", _boolean,
+                                   "write per-step trajectories (run, toy)")
 
     def resolved(self) -> dict:
         d = dict(vars(self))
@@ -126,95 +188,57 @@ def parse_rule(spec: str) -> OodRule:
 
 # -- config file + flags -----------------------------------------------------
 
-_FILE_KEYS = {
-    ("dataset", "source"): ("source", str),
-    ("dataset", "path"): ("data_path", str),
-    ("dataset", "label_col"): ("label_col", str),
-    ("dataset", "ood_rule"): ("ood_rule", str),
-    ("dataset", "n_per_class"): ("n_per_class", int),
-    ("dataset", "n_ood"): ("n_ood", int),
-    ("projection", "k"): ("k", int),
-    ("partition", "slack"): ("slack", float),
-    ("partition", "cap"): ("cap", int),
-    ("generate", "order"): ("order", str),
-    ("generate", "alpha"): ("alpha", float),
-    ("generate", "max_iter"): ("max_iter", int),
-    ("generate", "stop_quantile"): ("stop_quantile", float),
-    ("cfi", "lambda"): ("cfi_lambda", float),
-    ("run", "variants"): ("variants", lambda s: [v.strip() for v in s.split(",") if v.strip()]),
-    ("run", "seeds"): ("seeds", lambda s: [int(v) for v in s.split(",") if v.strip()]),
-    ("run", "train_fraction"): ("train_fraction", float),
-    ("run", "out"): ("out", str),
-    ("run", "emit_trajectories"): ("emit_trajectories", lambda s: s.lower() in ("1", "true", "yes")),
-}
-# the range of each numeric knob, as the library enforces it; `build_config`
-# checks it before any data is read (NaN fails every comparison)
-_KNOB_RANGES = {
-    "k": (lambda v: v >= 0, ">= 0 (0 = input dimensionality)"),
-    "slack": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "cap": (lambda v: v >= 2, ">= 2"),
-    "alpha": (lambda v: 0 < v < math.inf, "a finite number > 0"),
-    "max_iter": (lambda v: v >= 1, ">= 1"),
-    "stop_quantile": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "cfi_lambda": (lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-    "train_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
-}
+def _convert(f, text: str, conv, where: str = ""):
+    """`text` converted and range-checked for field `f`; `where` prefixes the
+    error with the value's origin when it is not a flag."""
+    try:
+        value = conv(text)
+        if f.metadata["ok"] and not f.metadata["ok"](value):
+            raise ValueError(f"must be {f.metadata['rule']}")
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad {_flag(f) or f.name} {text}; {exc}") from None
+    return value
 
 
 def load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    """Field values from an INI file; an unknown section or key is an error."""
+    parser = configparser.ConfigParser(default_section="")  # no [DEFAULT] inheritance
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+    except (configparser.Error, ValueError) as exc:  # ValueError: undecodable bytes
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
+    schema = {(f.metadata["section"], f.metadata.get("key", f.name)): f
+              for f in fields(RunConfig)}
     updates = {}
-    for (section, key), (attr, conv) in _FILE_KEYS.items():
-        if parser.has_option(section, key):
+    for section in parser.sections():
+        if section not in {s for s, _ in schema}:
+            raise ConfigError(f"config [{section}]: unknown section")
+        for key in parser.options(section):
+            where = f"config [{section}] {key}: "
+            if (section, key) not in schema:
+                raise ConfigError(where + "unknown key")
             try:
-                updates[attr] = conv(parser.get(section, key))
-            except ValueError as exc:
-                raise ConfigError(f"config [{section}] {key}: {exc}")
+                text = parser.get(section, key)
+            except configparser.Error as exc:  # e.g. a lone '%' (interpolation)
+                raise ConfigError(where + str(exc)) from None
+            f = schema[section, key]
+            updates[f.name] = _convert(f, text, f.metadata["conv"], where)
     return updates
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for attr, value in load_config_file(args.config).items():
-            setattr(cfg, attr, value)
-    flag_map = {
-        "data": "data_path", "label_col": "label_col", "ood_rule": "ood_rule",
-        "k": "k", "slack": "slack", "cap": "cap", "alpha": "alpha",
-        "max_iter": "max_iter", "stop_quantile": "stop_quantile",
-        "cfi_lambda": "cfi_lambda", "train_fraction": "train_fraction",
-        "out": "out", "n_per_class": "n_per_class", "n_ood": "n_ood",
-    }
-    for flag, attr in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "order", None):
-        cfg.order = ORDER_NAMES[args.order]
-    if getattr(args, "variants", None):
-        cfg.variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if getattr(args, "seeds", None):
-        try:
-            cfg.seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"bad --seeds {args.seeds!r}; expected integers")
-    if getattr(args, "emit_trajectories", False):
-        cfg.emit_trajectories = True
+    """Defaults, then config file values, then flag values; every value is
+    converted and range-checked here, before any data is read."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for f in fields(RunConfig):
+        flag = _flag(f)
+        text = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+        if text is not None:
+            values[f.name] = _convert(f, text, f.metadata.get("flag_conv", f.metadata["conv"]))
     if getattr(args, "data", None):
-        cfg.source = "csv"
-    # checked here, before any data is read, whether a value came from a
-    # flag or from the config file
-    if not cfg.seeds:
-        raise ConfigError("need at least one seed")
-    if min(cfg.seeds) < 0:
-        raise ConfigError(f"bad --seeds {min(cfg.seeds)}; seeds must be >= 0")
-    for attr, (ok, rule) in _KNOB_RANGES.items():
-        if not ok(getattr(cfg, attr)):
-            raise ConfigError(f"bad --{attr.replace('_', '-')} {getattr(cfg, attr)}; "
-                              f"must be {rule}")
-    return cfg
+        values["source"] = "csv"
+    return RunConfig(**values)
 
 
 # -- datasets and fitting ----------------------------------------------------
@@ -454,9 +478,6 @@ def _run_variant_results(cfg: RunConfig, fit: PipelineFit, variant: str, seed: i
 def cmd_run(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    bad = [v for v in cfg.variants if v not in ("full", "sg", "sn", "sd", "cfi")]
-    if bad:
-        raise ConfigError(f"unknown variants {bad}")
 
     fits: dict[int, PipelineFit] = {}
     results_cache: dict[tuple[int, str], list] = {}
@@ -478,8 +499,7 @@ def cmd_run(cfg: RunConfig) -> int:
                                 fit.projection, approach=approach_names[variant])
 
         aggregates[variant] = repeat_and_aggregate(
-            run_one, cfg.seeds[0], n_seeds=len(cfg.seeds),
-            approach=approach_names[variant], seeds=cfg.seeds)
+            run_one, cfg.seeds, approach=approach_names[variant])
 
     long_rows = [(approach_names[v], seed, row.non_dis, row.dis, row.l1, row.auroc)
                  for v in cfg.variants for seed, row in aggregates[v].per_seed]
@@ -565,28 +585,13 @@ def cmd_score(cfg: RunConfig) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser):
+    # every flag value is text for the field's converter; a switch gives "true"
     p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--data", help="CSV dataset path (switches source to csv)")
-    p.add_argument("--label-col", dest="label_col", help="label column name")
-    p.add_argument("--ood-rule", dest="ood_rule",
-                   help="class_equals:V | above_quartile:COL | equals:COL=V")
-    p.add_argument("--k", type=int, help="latent dims (0 = input dimensionality)")
-    p.add_argument("--order", choices=("nd", "dn"),
-                   help="step order: nd = non-dis first, dn = dis first")
-    p.add_argument("--variants", help="comma list from full,sg,sn,sd,cfi")
-    p.add_argument("--seeds", help="comma list of integer seeds")
-    p.add_argument("--alpha", type=float, help="gradient step size")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iterations per step")
-    p.add_argument("--stop-quantile", dest="stop_quantile", type=float,
-                   help="ID-train NLL quantile where a step stops")
-    p.add_argument("--slack", type=float, help="partition threshold slack")
-    p.add_argument("--cap", type=int, help="partition search dimensionality cap")
-    p.add_argument("--cfi-lambda", dest="cfi_lambda", type=float, help="CFI L1 weight")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--n-per-class", dest="n_per_class", type=int, help="toy rows per class")
-    p.add_argument("--n-ood", dest="n_ood", type=int, help="toy OOD rows")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--emit-trajectories", action="store_true", default=False)
+    for f in fields(RunConfig):
+        if _flag(f):
+            switch = f.metadata["conv"] is _boolean
+            p.add_argument(_flag(f), help=f.metadata["help"],
+                           **({"action": "store_const", "const": "true"} if switch else {}))
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -19,21 +19,10 @@ from .partition import Partition
 from .projection import ProjectionModel, project
 
 __all__ = [
-    "GaussianComponent", "PartitionDensityModel", "OodScore",
-    "fit_partition_density", "nll_non_dis", "nll_dis", "ood_score",
-    "ood_scores", "MahalanobisScorer", "MarginalMahalanobisScorer",
-    "mahalanobis_score", "marginal_mahalanobis_score",
+    "GaussianComponent", "PartitionDensityModel", "fit_partition_density",
+    "nll_non_dis", "nll_dis", "ood_scores", "MahalanobisScorer",
+    "MarginalMahalanobisScorer",
 ]
-
-
-@dataclass(frozen=True)
-class OodScore:
-    l_n: float
-    l_d: float
-
-    @property
-    def l_total(self) -> float:
-        return self.l_n + self.l_d
 
 
 @dataclass(frozen=True)
@@ -125,16 +114,6 @@ def nll_dis(model: PartitionDensityModel, z_d: np.ndarray, target: int | None = 
     return np.minimum.reduce(per_class)
 
 
-def ood_score(model: PartitionDensityModel, projection: ProjectionModel,
-              x: np.ndarray) -> OodScore:
-    """Per-partition NLLs of a raw input; l_d uses scoring mode."""
-    z = project(projection, np.asarray(x, dtype=float))
-    return OodScore(
-        l_n=float(nll_non_dis(model, z[list(model.partition.z_n)])),
-        l_d=float(nll_dis(model, z[list(model.partition.z_d)], target=None)),
-    )
-
-
 def ood_scores(model: PartitionDensityModel, projection: ProjectionModel,
                X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched (l_n, l_d) for a raw feature matrix."""
@@ -179,11 +158,3 @@ class MarginalMahalanobisScorer:
 
     def score(self, z: np.ndarray):
         return self.component.mahalanobis_sq(z)
-
-
-def mahalanobis_score(Z_train, Y_train, z) -> float:
-    return float(MahalanobisScorer.fit(Z_train, Y_train).score(z))
-
-
-def marginal_mahalanobis_score(Z_train, z) -> float:
-    return float(MarginalMahalanobisScorer.fit(Z_train).score(z))

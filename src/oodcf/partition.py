@@ -31,9 +31,10 @@ direct factorization, whose failure decides the covariance ridge, may judge
 the submatrix differently. Such a subset and every subset grown from it are
 scored directly instead: a batched Cholesky factorization and solve on the
 principal submatrices, with the ridge escalation of
-`GaussianComponent.from_moments` where one fails. A non-finite class
-covariance gives non-finite pivots, so it reaches the direct path too, which
-raises `SingularCovariance`.
+`GaussianComponent.from_moments` where one fails. Non-finite train rows
+raise `SingularCovariance` before any moment is taken; a class covariance
+that still overflows gives non-finite pivots, so it reaches the direct path
+too, which raises `SingularCovariance`.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ def _class_moments(Z: np.ndarray, Y: np.ndarray):
         n = members.shape[0]
         if n < 2:
             raise SingularCovariance(f"need >= 2 rows to fit a Gaussian, got {n}")
+        if not np.isfinite(members).all():
+            raise SingularCovariance(f"class {c} has non-finite train rows")
         mean = members.mean(axis=0)
         centered = members - mean
         means.append(mean)

@@ -148,15 +148,6 @@ def project(model: ProjectionModel, x: np.ndarray) -> np.ndarray:
     return np.einsum("...j,jk->...k", model.standardizer.transform(x), model.loadings)
 
 
-def inverse_project(model: ProjectionModel, z: np.ndarray) -> np.ndarray:
-    """Map latents back to raw units (exact inverse when k = d)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != model.k:
-        raise DimensionMismatch(f"latent has {z.shape[-1]} dims, model has k={model.k}")
-    return model.standardizer.inverse_transform(
-        np.einsum("...k,jk->...j", z, model.loadings))
-
-
 def jacobian(model: ProjectionModel, dims) -> np.ndarray:
     """Rows of W^T restricted to `dims`: the exact gradient of the latent map
     with respect to standardized inputs (no scale factors in this space)."""
@@ -171,8 +162,7 @@ def jacobian(model: ProjectionModel, dims) -> np.ndarray:
 def save_projection(model: ProjectionModel, path, extra: dict | None = None) -> None:
     """Serialize to JSON (mean, scale, loadings, variances, diagnostics).
 
-    `extra` entries (e.g. a provenance config) are stored alongside and
-    ignored on load.
+    `extra` entries (e.g. a provenance config) are stored alongside.
     """
     payload = {
         "mean": model.standardizer.mean.tolist(),
@@ -186,16 +176,3 @@ def save_projection(model: ProjectionModel, path, extra: dict | None = None) -> 
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def load_projection(path) -> ProjectionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return ProjectionModel(
-        standardizer=Standardizer(
-            mean=np.array(payload["mean"], dtype=float),
-            scale=np.array(payload["scale"], dtype=float)),
-        loadings=np.array(payload["loadings"], dtype=float),
-        explained_variance=np.array(payload["explained_variance"], dtype=float),
-        diagnostics=payload.get("diagnostics", {}),
-    )

@@ -2,8 +2,7 @@
 
 The detection score is -l_total so that ID points score higher; AUROC is
 the rank-based (Mann-Whitney) statistic with half credit for ties. L1 is
-reported in raw feature units by default (`standardized=True` switches to
-standardized units).
+reported in raw feature units.
 """
 
 from __future__ import annotations
@@ -18,18 +17,13 @@ from .errors import DimensionMismatch, EmptyInput
 from .projection import ProjectionModel, project
 
 
-def l1_distance(x, x_prime, standardized: bool = False, scale=None) -> float:
-    """Sum of absolute coordinate differences, raw units by default."""
+def l1_distance(x, x_prime) -> float:
+    """Sum of absolute coordinate differences."""
     x = np.asarray(x, dtype=float)
     x_prime = np.asarray(x_prime, dtype=float)
     if x.shape != x_prime.shape:
         raise DimensionMismatch(f"shapes differ: {x.shape} vs {x_prime.shape}")
-    diff = np.abs(x_prime - x)
-    if standardized:
-        if scale is None:
-            raise DimensionMismatch("standardized L1 needs the scale vector")
-        diff = diff / np.asarray(scale, dtype=float)
-    return float(diff.sum())
+    return float(np.abs(x_prime - x).sum())
 
 
 def auroc(positive_scores, negative_scores) -> float:
@@ -112,19 +106,15 @@ class AggregateResult:
     std: dict
 
 
-def repeat_and_aggregate(run_fn, base_seed: int, n_seeds: int = 5,
-                         approach: str | None = None,
-                         seeds: list[int] | None = None) -> AggregateResult:
-    """Run `run_fn(seed)` for seeds base_seed..base_seed+n_seeds-1 and
-    average each metric; per-seed rows and standard deviations are kept for
-    the long-form output. A failing seed aborts with its own exception,
-    whose message is prefixed with the seed. An explicit (possibly
-    non-contiguous) seed list overrides the default."""
-    if seeds is None:
-        seeds = list(range(base_seed, base_seed + n_seeds))
+def repeat_and_aggregate(run_fn, seeds: list[int],
+                         approach: str | None = None) -> AggregateResult:
+    """Run `run_fn(seed)` for each seed and average each metric; per-seed
+    rows and standard deviations are kept for the long-form output. A
+    failing seed aborts with its own exception, whose message is prefixed
+    with the seed."""
     n_seeds = len(seeds)
     if n_seeds < 1:
-        raise EmptyInput("n_seeds must be >= 1")
+        raise EmptyInput("need at least one seed")
     per_seed = []
     for seed in seeds:
         try:

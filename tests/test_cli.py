@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodcf import cli
 from oodcf.dataset import OodRule
@@ -292,6 +296,14 @@ class TestBadInputExitCodes:
         ("--max-iter", ["run", "--max-iter", "0"]),
         ("--cap", ["partition", "--cap", "-1"]),
         ("--cap", ["toy", "--cap", "1"]),
+        ("--k", ["partition", "--k", "abc"]),
+        ("--alpha", ["run", "--alpha", "abc"]),
+        ("--max-iter", ["run", "--max-iter", "1.5"]),
+        ("--order", ["run", "--order", "xy"]),
+        ("--order", ["run", "--order", "non_dis_first"]),
+        ("--variants", ["run", "--variants", "full,bogus"]),
+        ("--n-per-class", ["toy", "--n-per-class", "0"]),
+        ("--n-ood", ["score", "--n-ood", "0"]),
     ])
     def test_bad_flag_value(self, tmp_path, capsys, flag, argv):
         out = tmp_path / "o"
@@ -311,6 +323,31 @@ class TestBadInputExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError"
         assert "bad --slack nan" in record["message"]
+
+    @pytest.mark.parametrize("ini, names", [
+        ("[generate]\nalhpa = 0.1\n", "config [generate] alhpa: unknown key"),
+        ("[genrate]\nalpha = 0.1\n", "config [genrate]: unknown section"),
+        ("[DEFAULT]\nalpha = 0.1\n", "config [DEFAULT]: unknown section"),
+        ("[run]\nemit_trajectories = banana\n", "config [run] emit_trajectories: "),
+        ("[generate]\norder = bogus\n", "config [generate] order: "),
+        ("[generate]\norder = nd\n", "config [generate] order: "),
+        ("[generate]\nalpha = abc\n", "config [generate] alpha: "),
+        ("[generate]\nalpha = 5%\n", "config [generate] alpha: "),
+        ("[dataset]\nsource = bogus\n", "config [dataset] source: "),
+        ("[run]\nvariants = full,bogus\n", "config [run] variants: "),
+        ("[dataset]\nn_per_class = 0\n", "config [dataset] n_per_class: "),
+        ("[dataset]\nn_ood = 0\n", "config [dataset] n_ood: "),
+        ("alpha = 0.1\n", "cannot parse config file"),
+    ])
+    def test_bad_config_file_entry(self, tmp_path, capsys, ini, names):
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text(ini, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(["run", "--config", cfg_file, "--out", out]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert names in record["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 class TestConfigFile:
@@ -348,6 +385,77 @@ class TestConfigFile:
         code = run_cli(["run", "--data", WINE, "--label-col", "target",
                         "--out", tmp_path / "r"])
         assert code == 2
+
+
+def config_from(argv, ini=""):
+    """build_config on `argv`, with `ini` as the --config file when given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if ini:
+            path = Path(tmp) / "c.ini"
+            path.write_text(ini, encoding="utf-8")
+            argv = argv + ["--config", str(path)]
+        return cli.build_config(cli.make_parser().parse_args(argv))
+
+
+# one non-default value per field, as INI entries and as flags
+SAME_VALUE = {
+    "source": ("[dataset]\nsource = csv\npath = x.csv\n", ["--data", "x.csv"]),
+    "data_path": ("[dataset]\nsource = csv\npath = x.csv\n", ["--data", "x.csv"]),
+    "label_col": ("[dataset]\nlabel_col = y\n", ["--label-col", "y"]),
+    "ood_rule": ("[dataset]\nood_rule = class_equals:2\n", ["--ood-rule", "class_equals:2"]),
+    "n_per_class": ("[dataset]\nn_per_class = 7\n", ["--n-per-class", "7"]),
+    "n_ood": ("[dataset]\nn_ood = 7\n", ["--n-ood", "7"]),
+    "k": ("[projection]\nk = 3\n", ["--k", "3"]),
+    "slack": ("[partition]\nslack = 0.25\n", ["--slack", "0.25"]),
+    "cap": ("[partition]\ncap = 12\n", ["--cap", "12"]),
+    "order": ("[generate]\norder = dis_first\n", ["--order", "dn"]),
+    "alpha": ("[generate]\nalpha = 0.2\n", ["--alpha", "0.2"]),
+    "max_iter": ("[generate]\nmax_iter = 9\n", ["--max-iter", "9"]),
+    "stop_quantile": ("[generate]\nstop_quantile = 0.9\n", ["--stop-quantile", "0.9"]),
+    "cfi_lambda": ("[cfi]\nlambda = 0.3\n", ["--cfi-lambda", "0.3"]),
+    "variants": ("[run]\nvariants = sd, cfi\n", ["--variants", "sd, cfi"]),
+    "seeds": ("[run]\nseeds = 4,2\n", ["--seeds", "4,2"]),
+    "train_fraction": ("[run]\ntrain_fraction = 0.5\n", ["--train-fraction", "0.5"]),
+    "out": ("[run]\nout = elsewhere\n", ["--out", "elsewhere"]),
+    "emit_trajectories": ("[run]\nemit_trajectories = on\n", ["--emit-trajectories"]),
+}
+TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "0", "-1", "1", "1.5", "nan", "inf", "-inf", "1e400",
+                     "0,1", "full,cfi", "yes", "off", "nd", "dis_first", "csv", "5%"]))
+
+
+class TestConfigSchema:
+    def test_every_field_has_an_ini_key_and_flag(self):
+        assert set(SAME_VALUE) == {f.name for f in fields(cli.RunConfig)}
+
+    @pytest.mark.parametrize("name", sorted(SAME_VALUE))
+    def test_ini_key_and_flag_agree(self, name):
+        ini, argv = SAME_VALUE[name]
+        from_file = config_from(["run"], ini).resolved()
+        assert from_file == config_from(["run"] + argv).resolved()
+        assert from_file[name] != cli.RunConfig().resolved()[name]
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("on", True),
+                                             ("false", False), ("0", False), ("OFF", False)])
+    def test_boolean_words(self, word, value):
+        cfg = config_from(["run"], f"[run]\nemit_trajectories = {word}\n")
+        assert cfg.emit_trajectories is value
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(fields(cli.RunConfig)), TEXTS)
+    def test_any_text_is_a_config_or_a_config_error(self, f, text):
+        section, key = f.metadata["section"], f.metadata.get("key", f.name)
+        flag = cli._flag(f)
+        attempts = [(["run"], f"[{section}]\n{key} = {text}\n")]
+        if flag and f.name != "emit_trajectories":
+            attempts.append((["run", f"{flag}={text}"], ""))
+        for argv, ini in attempts:
+            try:
+                cfg = config_from(argv, ini)
+            except ConfigError:
+                continue
+            assert isinstance(cfg, cli.RunConfig)
 
 
 class TestRunDeterminism:

@@ -70,7 +70,7 @@ class TestGenerate:
         z = np.zeros(2)
         z[list(toy_fit.part.z_d)] = toy_fit.model.dis_per_class[0].mean
         z[list(toy_fit.part.z_n)] = toy_fit.model.non_dis.mean
-        x = projection.inverse_project(toy_fit.projection, z)
+        x = toy_fit.projection.standardizer.inverse_transform(z @ toy_fit.projection.loadings.T)
         cfg = GenerationConfig(target_class=0)
         res = counterfactual.generate(x, toy_fit.model, toy_fit.projection, cfg)
         assert res.steps_taken == {"non_dis": 0, "dis": 0}

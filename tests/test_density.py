@@ -114,30 +114,40 @@ class TestNllDis:
             density.nll_dis(toy_fit.model, np.zeros(1), target=5)
 
 
+def ood_score(model, proj, x):
+    """Per-row oracle for `ood_scores`: (l_n, l_d) of one raw input, l_d as
+    the minimum over the class components."""
+    z = projection.project(proj, np.asarray(x, dtype=float))
+    l_n = float(model.non_dis.nll(z[list(model.partition.z_n)]))
+    l_d = min(float(c.nll(z[list(model.partition.z_d)])) for c in model.dis_per_class)
+    return l_n, l_d
+
+
 class TestOodScore:
     def test_total_is_exact_sum(self, toy_fit):
-        score = density.ood_score(toy_fit.model, toy_fit.projection,
-                                  np.array([0.0, 2.0]))
-        assert score.l_total == score.l_n + score.l_d
+        # scores.csv writes l_total as the sum of the two batched columns
+        ln, ld = density.ood_scores(toy_fit.model, toy_fit.projection,
+                                    np.array([[0.0, 2.0]]))
+        assert sum(ood_score(toy_fit.model, toy_fit.projection, [0.0, 2.0])) == ln[0] + ld[0]
 
     def test_deterministic(self, toy_fit):
-        a = density.ood_score(toy_fit.model, toy_fit.projection, np.array([1.0, 1.0]))
-        b = density.ood_score(toy_fit.model, toy_fit.projection, np.array([1.0, 1.0]))
-        assert (a.l_n, a.l_d) == (b.l_n, b.l_d)
+        x = np.array([[1.0, 1.0], [0.0, 2.0]])
+        a = density.ood_scores(toy_fit.model, toy_fit.projection, x)
+        b = density.ood_scores(toy_fit.model, toy_fit.projection, x)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_ood_centroid_above_id_median(self, toy_fit):
-        centroid = density.ood_score(toy_fit.model, toy_fit.projection,
-                                     np.array([0.0, 2.0]))
+        centroid = sum(ood_score(toy_fit.model, toy_fit.projection, [0.0, 2.0]))
         id_train = toy_fit.train.features[~toy_fit.train.ood_flag]
         ln, ld = density.ood_scores(toy_fit.model, toy_fit.projection, id_train)
-        assert centroid.l_total > np.median(ln + ld)
+        assert centroid > np.median(ln + ld)
 
     def test_batch_matches_single(self, toy_fit, toy_ood):
         ln, ld = density.ood_scores(toy_fit.model, toy_fit.projection, toy_ood[:20])
         for i in range(20):
-            one = density.ood_score(toy_fit.model, toy_fit.projection, toy_ood[i])
-            assert one.l_n == pytest.approx(ln[i], rel=1e-12)
-            assert one.l_d == pytest.approx(ld[i], rel=1e-12)
+            one_n, one_d = ood_score(toy_fit.model, toy_fit.projection, toy_ood[i])
+            assert one_n == pytest.approx(ln[i], rel=1e-12)
+            assert one_d == pytest.approx(ld[i], rel=1e-12)
 
 
 class TestMahalanobis:
@@ -173,11 +183,11 @@ class TestMahalanobis:
         Y = gen.integers(0, 2, size=200)
         q = gen.normal(size=3)
         shift = np.array([5.0, -7.0, 11.0])
-        a = density.mahalanobis_score(Z, Y, q)
-        b = density.mahalanobis_score(Z + shift, Y, q + shift)
+        a = density.MahalanobisScorer.fit(Z, Y).score(q)
+        b = density.MahalanobisScorer.fit(Z + shift, Y).score(q + shift)
         assert a == pytest.approx(b, abs=1e-8)
-        am = density.marginal_mahalanobis_score(Z, q)
-        bm = density.marginal_mahalanobis_score(Z + shift, q + shift)
+        am = density.MarginalMahalanobisScorer.fit(Z).score(q)
+        bm = density.MarginalMahalanobisScorer.fit(Z + shift).score(q + shift)
         assert am == pytest.approx(bm, abs=1e-8)
 
     def test_min_over_classes(self, toy_fit):

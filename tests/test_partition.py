@@ -431,8 +431,18 @@ class TestBatchedSearchAgainstOracle:
     def test_non_finite_train_rows_raise(self, bad):
         Z, Y, Ze = mixed_class_data(12, 4, 2)
         Z[5, 2] = bad
-        with pytest.raises(SingularCovariance):
-            partition.search_partition(Z, Y, Ze)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularCovariance):
+                partition.search_partition(Z, Y, Ze)
+
+    def test_overflowing_covariance_raises(self):
+        # finite rows whose covariance overflows reach the direct path
+        Z, Y, Ze = mixed_class_data(12, 4, 2)
+        Z[5, 2] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularCovariance):
+                partition.search_partition(Z, Y, Ze)
 
     def test_single_class_rejected(self):
         Z, _, Ze = mixed_class_data(13, 3, 2)

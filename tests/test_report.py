@@ -55,11 +55,6 @@ class TestL1Distance:
         with pytest.raises(DimensionMismatch):
             report.l1_distance(np.zeros(2), np.zeros(3))
 
-    def test_standardized_variant(self):
-        got = report.l1_distance(np.array([0.0, 0.0]), np.array([2.0, 3.0]),
-                                 standardized=True, scale=np.array([2.0, 3.0]))
-        assert got == 2.0
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 1000))
     def test_permutation_invariance(self, seed):
@@ -240,28 +235,32 @@ class TestRepeatAndAggregate:
                               auroc=float(gen.random()))
 
     def test_single_seed_equals_single_run(self):
-        agg = report.repeat_and_aggregate(self.run_fn, 7, n_seeds=1)
+        agg = report.repeat_and_aggregate(self.run_fn, [7])
         single = self.run_fn(7)
         assert agg.mean.non_dis == single.non_dis
         assert agg.mean.auroc == single.auroc
         assert agg.mean.n_seeds == 1
 
     def test_mean_matches_arithmetic(self):
-        agg = report.repeat_and_aggregate(self.run_fn, 0, n_seeds=5)
+        agg = report.repeat_and_aggregate(self.run_fn, range(5))
         rows = [self.run_fn(s) for s in range(5)]
         assert agg.mean.l1 == pytest.approx(np.mean([r.l1 for r in rows]), abs=1e-12)
         assert len(agg.per_seed) == 5
         assert set(agg.std) == {"non_dis", "dis", "l1", "auroc"}
 
     def test_rerun_is_bit_identical(self):
-        a = report.repeat_and_aggregate(self.run_fn, 3, n_seeds=4)
-        b = report.repeat_and_aggregate(self.run_fn, 3, n_seeds=4)
+        a = report.repeat_and_aggregate(self.run_fn, [3, 4, 5, 6])
+        b = report.repeat_and_aggregate(self.run_fn, [3, 4, 5, 6])
         assert a.mean == b.mean
 
     def test_explicit_seed_list(self):
-        agg = report.repeat_and_aggregate(self.run_fn, 0, seeds=[2, 9, 14])
+        agg = report.repeat_and_aggregate(self.run_fn, [2, 9, 14])
         assert [seed for seed, _ in agg.per_seed] == [2, 9, 14]
         assert agg.mean.n_seeds == 3
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(EmptyInput):
+            report.repeat_and_aggregate(self.run_fn, [])
 
     def test_failing_seed_reports_seed(self):
         def boom(seed):
@@ -270,7 +269,7 @@ class TestRepeatAndAggregate:
             return self.run_fn(seed)
 
         with pytest.raises(EmptyInput, match="seed 4"):
-            report.repeat_and_aggregate(boom, 3, n_seeds=3)
+            report.repeat_and_aggregate(boom, [3, 4, 5])
 
     def test_failing_seed_keeps_trajectory(self):
         trajectory = np.arange(6.0).reshape(3, 2)
@@ -280,7 +279,7 @@ class TestRepeatAndAggregate:
             raise original
 
         with pytest.raises(NonFiniteLoss, match="seed 5: loss became nan") as info:
-            report.repeat_and_aggregate(boom, 5, n_seeds=2)
+            report.repeat_and_aggregate(boom, [5, 6])
         assert info.value is original
         assert info.value.trajectory is trajectory
 
@@ -294,7 +293,7 @@ class TestRepeatAndAggregate:
             raise Pair("a", "b")
 
         with pytest.raises(Pair, match="seed 0: a vs b") as info:
-            report.repeat_and_aggregate(boom, 0, n_seeds=1)
+            report.repeat_and_aggregate(boom, [0])
         assert (info.value.left, info.value.right) == ("a", "b")
 
 
