@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import json
 import math
 import sys
@@ -200,14 +201,19 @@ def _convert(f, text: str, conv, where: str = ""):
     return value
 
 
-def load_config_file(path: str) -> dict:
-    """Field values from an INI file; an unknown section or key is an error."""
+def _read_ini(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(default_section="")  # no [DEFAULT] inheritance
     try:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
     except (configparser.Error, ValueError) as exc:  # ValueError: undecodable bytes
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
+    return parser
+
+
+def load_config_file(path: str) -> dict:
+    """Field values from an INI file; an unknown section or key is an error."""
+    parser = _read_ini(path)
     schema = {(f.metadata["section"], f.metadata.get("key", f.name)): f
               for f in fields(RunConfig)}
     updates = {}
@@ -320,20 +326,26 @@ def print_partition(part: Partition):
 
 
 def _traj_rows(fit: PipelineFit, results, variant):
-    rows = []
-    W = fit.projection.loadings
-    zn, zd = list(fit.partition.z_n), list(fit.partition.z_d)
-    for i, res in enumerate(results):
-        for trace in res.trajectories:
-            Z = trace.points @ W
-            ln = fit.model.non_dis.nll(Z[:, zn])
-            t = res.target_class if res.target_class is not None else 0
-            ld = fit.model.dis_per_class[t].nll(Z[:, zd])
-            for step in range(trace.points.shape[0]):
-                rows.append((i, variant, trace.phase, step,
-                             *trace.points[step].tolist(),
-                             float(ln[step]), float(ld[step])))
-    return rows
+    """Lazy rows of every trace of `results`, step by step: one projection
+    and one NLL solve per Gaussian over all traces, cells from `.tolist()`
+    so each prints by repr as a Python scalar."""
+    found = [(i, res.target_class if res.target_class is not None else 0, trace)
+             for i, res in enumerate(results) for trace in res.trajectories]
+    if not found:
+        return iter(())
+    ids, targets, traces = zip(*found)
+    lengths = [trace.points.shape[0] for trace in traces]
+    U = np.concatenate([trace.points for trace in traces])
+    Z = U @ fit.projection.loadings
+    ln = fit.model.non_dis.nll(Z[:, list(fit.partition.z_n)])
+    target, ld = np.repeat(targets, lengths), np.empty(len(U))
+    for c in set(targets):
+        rows = target == c
+        ld[rows] = fit.model.dis_per_class[c].nll(Z[rows][:, list(fit.partition.z_d)])
+    step = np.arange(len(U)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return zip(np.repeat(ids, lengths).tolist(), itertools.repeat(variant),
+               np.repeat([trace.phase for trace in traces], lengths).tolist(),
+               step.tolist(), *U.T.tolist(), ln.tolist(), ld.tolist())
 
 
 def _counterfactual_rows(results, variant, feature_names):
@@ -415,16 +427,15 @@ def cmd_toy(cfg: RunConfig) -> int:
             first_fit = fit
         id_test = fit.test.id_rows().features
         ood_test = fit.test.ood_rows().features
-        Zid = project(fit.projection, id_test)
         Zood = project(fit.projection, ood_test)
         mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label)
         marg = MarginalMahalanobisScorer.fit(fit.Z_train)
         ln_id, ld_id = ood_scores(fit.model, fit.projection, id_test)
         ln_ood, ld_ood = ood_scores(fit.model, fit.projection, ood_test)
         per_seed["Mahalanobis Distance"].append(
-            auroc(-mah.score(Zid), -mah.score(Zood)))
+            auroc(-mah.score(fit.Z_eval), -mah.score(Zood)))
         per_seed["Marginal Mahalanobis Distance"].append(
-            auroc(-marg.score(Zid), -marg.score(Zood)))
+            auroc(-marg.score(fit.Z_eval), -marg.score(Zood)))
         per_seed["Custom metric"].append(
             auroc(-(ln_id + ld_id), -(ln_ood + ld_ood)))
 
@@ -535,12 +546,11 @@ def cmd_run(cfg: RunConfig) -> int:
             all_rows.extend(rows)
         write_csv(out / f"counterfactuals_seed{seed}.csv", header, all_rows, cfg)
         if cfg.emit_trajectories:
-            traj_rows = []
-            for variant in cfg.variants:
-                if variant == "cfi":
-                    continue  # cfi iterates in the classifier's own space
-                traj_rows.extend(_traj_rows(fit, results_cache[(seed, variant)],
-                                            approach_names[variant]))
+            # cfi iterates in the classifier's own space; rows stream variant
+            # by variant into the file
+            traj_rows = itertools.chain.from_iterable(
+                _traj_rows(fit, results_cache[(seed, variant)], approach_names[variant])
+                for variant in cfg.variants if variant != "cfi")
             theader = (["row_id", "variant", "phase", "step"]
                        + [f"u_{n}" for n in fit.train.feature_names]
                        + ["nll_non_dis", "nll_dis"])
@@ -609,15 +619,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = None
+    out_dir = args.out
     try:
+        # the output directory is read first, so a bad setting gets an error.json
+        if out_dir is None and args.config:
+            out_dir = _read_ini(args.config).get("run", "out", raw=True, fallback=None)
         cfg = build_config(args)
+        out_dir = cfg.out
         return args.fn(cfg)
     except OodcfError as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "exit_code": getattr(exc, "exit_code", EXIT_CONFIG)}
         sys.stderr.write(json.dumps(record) + "\n")
-        out_dir = cfg.out if cfg is not None else getattr(args, "out", None)
         if out_dir:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ rows share its batch or in what order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -523,14 +524,17 @@ def train_softmax_classifier(features, labels, epochs: int = 500, lr: float = 0.
     onehot = np.eye(n_classes)[y]
     for _ in range(epochs):
         order = rng.permutation(gen, n)
+        # one gather per epoch; each batch is a contiguous view of it
+        U_epoch, Y_epoch = U[order], onehot[order]
         for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            logits = U[idx] @ W.T + b
-            logits -= logits.max(axis=1, keepdims=True)
+            u = U_epoch[start:start + batch_size]
+            logits = u @ W.T + b
+            # a column-wise max: exact in any order, and cheaper than max(axis=1)
+            logits -= reduce(np.maximum, logits.T)[:, None]
             P = np.exp(logits)
             P /= P.sum(axis=1, keepdims=True)
-            G = (P - onehot[idx]) / idx.size
-            W -= lr * (G.T @ U[idx])
+            G = (P - Y_epoch[start:start + batch_size]) / len(u)
+            W -= lr * (G.T @ u)
             b -= lr * G.sum(axis=0)
     return SoftmaxClassifier(standardizer=std, weights=W, bias=b)
 

@@ -5,11 +5,13 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodcf import cli
+from oodcf.counterfactual import batch_generate, train_softmax_classifier
 from oodcf.dataset import OodRule
 from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
 from oodcf.errors import ConfigError
@@ -278,6 +280,22 @@ class TestBadInputExitCodes:
         record = json.loads((tmp_path / "from_file" / "error.json").read_text())
         assert record["error"] == "EmptyPartition"
 
+    @pytest.mark.parametrize("ini, argv, names", [
+        ("[generate]\nalhpa = 0.1\n", [], "config [generate] alhpa: unknown key"),
+        ("[generate]\nalpha = -1\n", [], "bad --alpha -1; must be"),
+        ("", ["--alpha", "abc"], "bad --alpha abc"),
+    ])
+    def test_bad_setting_error_json_goes_to_config_out(self, tmp_path, capsys,
+                                                        ini, argv, names):
+        out = tmp_path / "from_file"
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text(ini + f"[run]\nout = {out}\n", encoding="utf-8")
+        assert run_cli(["run", "--config", cfg_file] + argv) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert names in record["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
     @pytest.mark.parametrize("flag, argv", [
         ("--seeds", ["run", "--seeds", "-1"]),
         ("--k", ["partition", "--k", "-3"]),
@@ -456,6 +474,70 @@ class TestConfigSchema:
             except ConfigError:
                 continue
             assert isinstance(cfg, cli.RunConfig)
+
+
+def _oracle_traj_rows(fit, results, variant):
+    """The trajectory rows as built trace by trace, one NLL solve per trace."""
+    rows = []
+    W = fit.projection.loadings
+    zn, zd = list(fit.partition.z_n), list(fit.partition.z_d)
+    for i, res in enumerate(results):
+        for trace in res.trajectories:
+            Z = trace.points @ W
+            ln = fit.model.non_dis.nll(Z[:, zn])
+            t = res.target_class if res.target_class is not None else 0
+            ld = fit.model.dis_per_class[t].nll(Z[:, zd])
+            for step in range(trace.points.shape[0]):
+                rows.append((i, variant, trace.phase, step,
+                             *trace.points[step].tolist(),
+                             float(ln[step]), float(ld[step])))
+    return rows
+
+
+# k=2 has a single cardinality, so the partition normalization fallback fires
+@pytest.mark.filterwarnings("ignore::oodcf.errors.DegenerateNormalizationWarning")
+class TestTrajRowsAgainstOracle:
+    """Batched trajectory rows: every cell but the two NLLs is the oracle's,
+    of the same Python type, so it prints the same; the NLLs agree within
+    1e-12 relative (one solve per Gaussian instead of one per trace)."""
+
+    @pytest.mark.parametrize("source", ["toy", "csv"])
+    def test_matches_per_trace_oracle(self, source):
+        cfg = (cli.RunConfig(n_per_class=300, n_ood=30, k=2) if source == "toy" else
+               cli.RunConfig(source="csv", data_path=str(WINE), label_col="target",
+                             ood_rule="class_equals:2"))
+        fit = cli.fit_pipeline(cfg, 0)
+        # ID rows start below their thresholds: they give one-point traces
+        X = np.concatenate([fit.test.ood_rows().features, fit.test.id_rows().features[:20]])
+        targets = np.arange(len(X)) % 2
+        for variant in ("full", "sg", "sn", "sd"):
+            results = batch_generate(X, variant=variant, model=fit.model,
+                                     projection=fit.projection, cfg=cfg.generation(),
+                                     targets=targets)
+            traces = [t for r in results for t in r.trajectories]
+            assert min(len(t.points) for t in traces) == 1
+            assert {r.target_class for r in results} == {0, 1}
+            got = list(cli._traj_rows(fit, results, variant))
+            want = _oracle_traj_rows(fit, results, variant)
+            assert len(got) == len(want) == sum(len(t.points) for t in traces)
+            for g, w in zip(got, want):
+                assert g[:-2] == w[:-2]
+                assert [type(v) for v in g] == [type(v) for v in w]
+                assert np.allclose(g[-2:], w[-2:], rtol=1e-12, atol=0)
+
+    def test_no_traces_give_no_rows(self):
+        cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
+        fit = cli.fit_pipeline(cfg, 0)
+        ood = fit.test.ood_rows().features
+        clf = train_softmax_classifier(fit.train.features[:50],
+                                       fit.train.class_label[:50], epochs=1)
+        cfi = batch_generate(ood, variant="cfi", classifier=clf,
+                             cfi_cfg=cfg.cfi(), record=False)
+        failed = batch_generate(ood, model=fit.model, projection=fit.projection,
+                                cfg=cfg.generation(), targets=np.full(len(ood), 9))
+        assert all(r.failed for r in failed)
+        for results in ([], cfi, failed):
+            assert list(cli._traj_rows(fit, results, "x")) == []
 
 
 class TestRunDeterminism:

@@ -2,9 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import fit_toy, fit_wine
+from conftest import WINE_LIKE, fit_toy, fit_wine
 
-from oodcf import counterfactual, projection
+from oodcf import counterfactual, dataset, projection, rng
 from oodcf.counterfactual import ORDERS, VARIANTS, CfiConfig, GenerationConfig, PhaseTrace
 from oodcf.errors import DimensionMismatch, NonFiniteLoss, OutOfRange
 
@@ -250,6 +250,68 @@ class TestCfi:
         proba = toy_classifier.predict_proba(id_test.features)
         accuracy = (np.argmax(proba, axis=1) == id_test.class_label).mean()
         assert accuracy > 0.99
+
+
+# -- trainer oracle: the mini-batch loop with a gather per batch and a row max --
+
+def _oracle_train(features, labels, epochs=500, lr=0.01, batch_size=128, seed=0):
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    y = np.asarray(labels, dtype=int)
+    U = projection.fit_standardizer(X, with_scaling=True).transform(X)
+    n, d = U.shape
+    n_classes = int(y.max()) + 1
+    W = np.zeros((n_classes, d))
+    b = np.zeros(n_classes)
+    gen = rng.generator(seed, stream=2)
+    onehot = np.eye(n_classes)[y]
+    for _ in range(epochs):
+        order = rng.permutation(gen, n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            logits = U[idx] @ W.T + b
+            logits -= logits.max(axis=1, keepdims=True)
+            P = np.exp(logits)
+            P /= P.sum(axis=1, keepdims=True)
+            G = (P - onehot[idx]) / idx.size
+            W -= lr * (G.T @ U[idx])
+            b -= lr * G.sum(axis=0)
+    return W, b
+
+
+def _train_id_rows(kind, seed):
+    """ID rows of the train split the `run` command trains CFI on."""
+    if kind == "toy":
+        ds = dataset.make_toy(1000, 500, seed)
+    else:
+        table = dataset.load_csv(WINE_LIKE, "target")
+        ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=2))
+    train, _ = dataset.split(ds, dataset.SplitSpec(0.8, seed))
+    return train.id_rows()
+
+
+class TestTrainerAgainstOracle:
+    """Per-epoch gathers and a column-wise max leave every weight bit-equal."""
+
+    @pytest.mark.parametrize("kind,seed", [(k, s) for k in ("toy", "wine")
+                                           for s in range(5)])
+    def test_bit_equal_on_pipeline_data(self, kind, seed):
+        rows = _train_id_rows(kind, seed)
+        clf = counterfactual.train_softmax_classifier(
+            rows.features, rows.class_label, seed=seed)
+        W, b = _oracle_train(rows.features, rows.class_label, seed=seed)
+        assert np.array_equal(clf.weights, W)
+        assert np.array_equal(clf.bias, b)
+
+    def test_bit_equal_three_classes_short_last_batch(self):
+        gen = np.random.default_rng(5)
+        y = np.repeat([0, 1, 2], [100, 120, 87])
+        X = gen.normal(size=(y.size, 4)) + 1.5 * y[:, None] * np.array([1.0, -1.0, 0.5, 0.0])
+        assert y.size % 128 != 0
+        clf = counterfactual.train_softmax_classifier(X, y, epochs=60, seed=2)
+        W, b = _oracle_train(X, y, epochs=60, seed=2)
+        assert clf.weights.shape == (3, 4)
+        assert np.array_equal(clf.weights, W)
+        assert np.array_equal(clf.bias, b)
 
 
 # -- per-row oracle: the descent loops as they ran before the batched engine --
