@@ -52,7 +52,7 @@ from .density import (
     fit_partition_density,
     ood_scores,
 )
-from .errors import EXIT_CONFIG, CapExceeded, ConfigError, OodcfError
+from .errors import EXIT_CONFIG, CapExceeded, ConfigError, NumericError, OodcfError
 from .partition import Partition, conditional_entropy, fit_qda, search_partition
 from .projection import fit_projection, project, save_projection
 from .report import auroc, evaluate_run, format_table, repeat_and_aggregate
@@ -295,12 +295,45 @@ def _provenance(cfg: RunConfig) -> str:
     return json.dumps(cfg.resolved(), sort_keys=True, separators=(",", ":"))
 
 
+_CSV_CHUNK_ROWS = 256  # tens of kB of text: streamed tables stay out of memory
+
+
+def _plain_csv(rows: list, line: str, width: int) -> str | None:
+    """`rows` as csv text by one `line` format per row, or None when a row
+    is not a `width`-tuple or a cell might need csv quoting or prints
+    differently. csv prints every non-str, non-None cell by str(), as `%s`
+    does; it prints None as an empty field, quotes a lone empty field and a
+    cell holding a comma, quote or LF, and on some Python versions one
+    holding a CR."""
+    if width < 2:
+        return None
+    try:
+        text = "".join([line % row for row in rows])
+    except (TypeError, ValueError):
+        return None
+    n = len(rows)
+    if (text.count("\n") != n or text.count(",") != n * (width - 1)
+            or '"' in text or "\r" in text or "None" in text):
+        return None
+    return text
+
+
 def write_csv(path, header, rows, cfg: RunConfig):
+    """The provenance line, the header and `rows`, byte for byte as
+    `csv.writer` writes them; chunks of plain rows skip its per-cell work."""
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\n"
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {_provenance(cfg)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+            text = _plain_csv(chunk, line, width)
+            if text is None:
+                writer.writerows(chunk)
+            else:
+                fh.write(text)
 
 
 def write_json(path, payload: dict, cfg: RunConfig):
@@ -348,22 +381,16 @@ def _traj_rows(fit: PipelineFit, results, variant):
                step.tolist(), *U.T.tolist(), ln.tolist(), ld.tolist())
 
 
-def _counterfactual_rows(results, variant, feature_names):
-    rows = []
-    for i, res in enumerate(results):
-        base = [i, variant,
-                res.target_class if res.target_class is not None else "",
-                res.error or ""]
-        losses = [res.losses_before.get("non_dis", ""), res.losses_before.get("dis", ""),
-                  res.losses_after.get("non_dis", ""), res.losses_after.get("dis", "")]
-        rows.append(base + losses + res.x_original.tolist()
-                    + res.x_counterfactual.tolist() + res.delta.tolist())
-    header = (["row_id", "variant", "target_class", "error",
-               "non_dis_before", "dis_before", "non_dis_after", "dis_after"]
-              + [f"orig_{n}" for n in feature_names]
-              + [f"cf_{n}" for n in feature_names]
-              + [f"delta_{n}" for n in feature_names])
-    return header, rows
+def _counterfactual_rows(results, variant):
+    """Lazy rows of `results`, built column by column; feature cells come
+    from `.tolist()` so each prints by repr as a Python scalar."""
+    losses = [[getattr(res, side).get(phase, "") for res in results]
+              for side in ("losses_before", "losses_after") for phase in ("non_dis", "dis")]
+    features = [np.array([getattr(res, name) for res in results]).T.tolist()
+                for name in ("x_original", "x_counterfactual", "delta")]
+    return zip(range(len(results)), itertools.repeat(variant),
+               [res.target_class if res.target_class is not None else "" for res in results],
+               [res.error or "" for res in results], *losses, *itertools.chain(*features))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -425,13 +452,11 @@ def cmd_toy(cfg: RunConfig) -> int:
         fit = fit_pipeline(cfg, seed)
         if first_fit is None:
             first_fit = fit
-        id_test = fit.test.id_rows().features
-        ood_test = fit.test.ood_rows().features
-        Zood = project(fit.projection, ood_test)
+        Zood = project(fit.projection, fit.test.ood_rows().features)
         mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label)
         marg = MarginalMahalanobisScorer.fit(fit.Z_train)
-        ln_id, ld_id = ood_scores(fit.model, fit.projection, id_test)
-        ln_ood, ld_ood = ood_scores(fit.model, fit.projection, ood_test)
+        ln_id, ld_id = ood_scores(fit.model, fit.Z_eval)
+        ln_ood, ld_ood = ood_scores(fit.model, Zood)
         per_seed["Mahalanobis Distance"].append(
             auroc(-mah.score(fit.Z_eval), -mah.score(Zood)))
         per_seed["Marginal Mahalanobis Distance"].append(
@@ -538,13 +563,15 @@ def cmd_run(cfg: RunConfig) -> int:
                   ["cardinality", "subset", "loss", "normalized",
                    "within_threshold", "chosen"],
                   partition_rows(fit.partition), cfg)
-        all_rows, header = [], None
-        for variant in cfg.variants:
-            results = results_cache[(seed, variant)]
-            header, rows = _counterfactual_rows(results, approach_names[variant],
-                                                fit.train.feature_names)
-            all_rows.extend(rows)
-        write_csv(out / f"counterfactuals_seed{seed}.csv", header, all_rows, cfg)
+        names = fit.train.feature_names
+        header = (["row_id", "variant", "target_class", "error",
+                   "non_dis_before", "dis_before", "non_dis_after", "dis_after"]
+                  + [f"orig_{n}" for n in names] + [f"cf_{n}" for n in names]
+                  + [f"delta_{n}" for n in names])
+        rows = itertools.chain.from_iterable(
+            _counterfactual_rows(results_cache[(seed, variant)], approach_names[variant])
+            for variant in cfg.variants)
+        write_csv(out / f"counterfactuals_seed{seed}.csv", header, rows, cfg)
         if cfg.emit_trajectories:
             # cfi iterates in the classifier's own space; rows stream variant
             # by variant into the file
@@ -579,7 +606,7 @@ def cmd_score(cfg: RunConfig) -> int:
     fit = fit_pipeline(cfg, cfg.seeds[0])
     test = fit.test
     Z = project(fit.projection, test.features)
-    ln, ld = ood_scores(fit.model, fit.projection, test.features)
+    ln, ld = ood_scores(fit.model, Z)
     mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label).score(Z)
     marg = MarginalMahalanobisScorer.fit(fit.Z_train).score(Z)
     # Python floats from tolist() print by repr, the same text as numpy's str
@@ -627,7 +654,9 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         out_dir = cfg.out
         return args.fn(cfg)
-    except OodcfError as exc:
+    except (OodcfError, np.linalg.LinAlgError) as exc:
+        if isinstance(exc, np.linalg.LinAlgError):  # numpy's, outside our hierarchy
+            exc = NumericError(f"linear algebra failed: {exc}")
         record = {"error": type(exc).__name__, "message": str(exc),
                   "exit_code": getattr(exc, "exit_code", EXIT_CONFIG)}
         sys.stderr.write(json.dumps(record) + "\n")

@@ -16,7 +16,6 @@ import numpy as np
 from ._gaussian import GaussianComponent
 from .errors import DataError, DimensionMismatch, UnknownClass
 from .partition import Partition
-from .projection import ProjectionModel, project
 
 __all__ = [
     "GaussianComponent", "PartitionDensityModel", "fit_partition_density",
@@ -114,10 +113,9 @@ def nll_dis(model: PartitionDensityModel, z_d: np.ndarray, target: int | None = 
     return np.minimum.reduce(per_class)
 
 
-def ood_scores(model: PartitionDensityModel, projection: ProjectionModel,
-               X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (l_n, l_d) for a raw feature matrix."""
-    Z = project(projection, np.atleast_2d(np.asarray(X, dtype=float)))
+def ood_scores(model: PartitionDensityModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched (l_n, l_d) for a matrix of latents."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
     ln = nll_non_dis(model, Z[:, list(model.partition.z_n)])
     ld = nll_dis(model, Z[:, list(model.partition.z_d)], target=None)
     return ln, ld

@@ -27,25 +27,24 @@ def l1_distance(x, x_prime) -> float:
 
 
 def auroc(positive_scores, negative_scores) -> float:
-    """P(positive > negative) with ties counting one half, via average ranks.
+    """P(positive > negative) with ties counting one half (Mann-Whitney U).
 
-    Equal scores share the mean of their ranks. NaN compares unequal to
-    everything, itself included, so each NaN is a tie group of its own;
-    the stable sort puts NaNs last, in input order (positives first).
+    Each positive counts the negatives below it plus half those equal to
+    it, by binary search in the sorted negatives. NaN compares unequal to
+    everything, itself included, so it ranks as its own tie group above
+    every number, positives before negatives: a NaN positive beats every
+    non-NaN negative and ties nothing. U is a sum of half-integers far
+    below 2**53, so it is exact, equal to the average-rank sum.
     """
     pos = np.asarray(positive_scores, dtype=float).ravel()
     neg = np.asarray(negative_scores, dtype=float).ravel()
     if pos.size == 0 or neg.size == 0:
         raise EmptyInput("auroc needs at least one score on each side")
-    scores = np.concatenate([pos, neg])
-    order = np.argsort(scores, kind="stable")
-    # tie groups are the runs of equal values in the sorted scores
-    s = scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], s.size)
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    u = ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0
+    neg = np.sort(neg)  # NaNs last
+    below = np.searchsorted(neg, pos, side="left")
+    ties = np.searchsorted(neg, pos, side="right") - below
+    ties[np.isnan(pos)] = 0
+    u = below.sum() + 0.5 * ties.sum()
     return float(u / (pos.size * neg.size))
 
 
@@ -85,7 +84,7 @@ def evaluate_run(counterfactuals: list[CounterfactualResult], id_test_features,
     ln_cf = nll_non_dis(model, zn)
     ld_cf = nll_dis(model, zd, target=None)
 
-    ln_id, ld_id = ood_scores(model, projection, id_test)
+    ln_id, ld_id = ood_scores(model, project(projection, id_test))
     score_pos = -(ln_id + ld_id)
     score_neg = -(ln_cf + ld_cf)
 

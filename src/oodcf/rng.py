@@ -46,6 +46,13 @@ def permutation(gen: np.random.Generator, n: int) -> np.ndarray:
     """Deterministic permutation of range(n): stable argsort of uniforms.
 
     Depends only on the uniform stream, not on any shuffling algorithm
-    internal to numpy.
+    internal to numpy. Distinct keys have one sorted order, so numpy's
+    faster default sort gives the stable order unless two uniforms tie;
+    only then is the stable sort run.
     """
-    return np.argsort(gen.random(n), kind="stable")
+    u = gen.random(n)
+    order = np.argsort(u)
+    s = u[order]
+    if (s[1:] == s[:-1]).any():
+        return np.argsort(u, kind="stable")
+    return order

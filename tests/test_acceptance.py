@@ -32,8 +32,8 @@ def toy_detection_aurocs(seed):
     ood = fit.test.ood_rows().features
     Zid = projection.project(fit.projection, id_test)
     Zood = projection.project(fit.projection, ood)
-    ln_i, ld_i = density.ood_scores(fit.model, fit.projection, id_test)
-    ln_o, ld_o = density.ood_scores(fit.model, fit.projection, ood)
+    ln_i, ld_i = density.ood_scores(fit.model, Zid)
+    ln_o, ld_o = density.ood_scores(fit.model, Zood)
     mah = density.MahalanobisScorer.fit(fit.Z_train, fit.train.class_label)
     marg = density.MarginalMahalanobisScorer.fit(fit.Z_train)
     return {

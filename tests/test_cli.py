@@ -206,7 +206,7 @@ class TestScoreCommand:
         fit = cli.fit_pipeline(cfg, 0)
         test = fit.test
         Z = project(fit.projection, test.features)
-        ln, ld = ood_scores(fit.model, fit.projection, test.features)
+        ln, ld = ood_scores(fit.model, Z)
         mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label).score(Z)
         marg = MarginalMahalanobisScorer.fit(fit.Z_train).score(Z)
         rows = [(i, ln[i], ld[i], ln[i] + ld[i], mah[i], marg[i],
@@ -546,3 +546,112 @@ class TestRunDeterminism:
                 "--ood-rule", "class_equals:2", "--seeds", "3",
                 "--variants", "full,cfi"]
         rerun_identical(args, tmp_path / "r")
+
+
+def _csv_writer_bytes(header, rows, cfg):
+    """What `write_csv` wrote before its fast path: csv.writer on every row."""
+    expected = io.StringIO()
+    expected.write(f"# config: {cli._provenance(cfg)}\n")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expected.getvalue().encode("utf-8")
+
+
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16,
+                     np.float64(0.1), np.float64(-1e-7), np.float32(0.1), np.int64(-3),
+                     np.bool_(True), None, "", "None", "a,b", 'q"t', "cr\r", "lf\n"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=',"\r\n aNone1.e-x', max_size=6),
+)
+
+
+class TestWriteCsvBytes:
+    """`write_csv` writes the bytes csv.writer writes, for any cells and row
+    shapes; rows that need quoting take csv.writer within their chunk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+        st.just(width),
+        # mostly full-width tuples, the rows the fast path takes
+        st.lists(st.one_of(*[st.lists(CELLS, min_size=width, max_size=width).map(tuple)] * 3,
+                           st.lists(CELLS, min_size=0, max_size=width + 1)),
+                 min_size=1, max_size=12),
+        st.booleans())))
+    def test_matches_csv_writer(self, case):
+        width, rows, repeat = case
+        if repeat:  # more than one chunk, each mixing clean and quoted rows
+            rows = rows * (2 * cli._CSV_CHUNK_ROWS // len(rows) + 1)
+        header = [f"c{j}" for j in range(width)]
+        cfg = cli.RunConfig()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            cli.write_csv(path, header, iter(rows), cfg)
+            assert path.read_bytes() == _csv_writer_bytes(header, rows, cfg)
+
+    @pytest.mark.parametrize("header,rows", [
+        (["only"], [("",), ("x",), (1.5,)]),
+        *[(["a", "b"], [(1.0, 2.0), (cell, 3)]) for cell in
+          ('q"t', "cr\r", "lf\n", "a,b", None, "", "None", 5e-324, -0.0, np.float32(0.1))],
+        (["a", "b"], [(1.0, 2.0)] * 300 + [(1.0, 'q"t')] + [(3, None)] * 300),
+        (["a", "b"], [(1.0, 2.0), ("x\r", 1), [1, 2], (1, 2, 3), (0.1,)]),
+    ])
+    def test_edge_tables(self, tmp_path, header, rows):
+        cfg = cli.RunConfig()
+        cli.write_csv(tmp_path / "t.csv", header, rows, cfg)
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(header, rows, cfg)
+
+
+def _oracle_counterfactual_rows(results, variant):
+    """The counterfactual rows as built cell by cell, one list per row."""
+    rows = []
+    for i, res in enumerate(results):
+        base = [i, variant, res.target_class if res.target_class is not None else "",
+                res.error or ""]
+        losses = [res.losses_before.get("non_dis", ""), res.losses_before.get("dis", ""),
+                  res.losses_after.get("non_dis", ""), res.losses_after.get("dis", "")]
+        rows.append(base + losses + res.x_original.tolist()
+                    + res.x_counterfactual.tolist() + res.delta.tolist())
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::oodcf.errors.DegenerateNormalizationWarning")
+def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
+    # an UnknownClass error cell holds "not in [0, 2)": its comma must be quoted
+    cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
+    fit = cli.fit_pipeline(cfg, 0)
+    ood = fit.test.ood_rows().features
+    targets = np.where(np.arange(len(ood)) % 3 == 0, 5, np.arange(len(ood)) % 2)
+    clf = train_softmax_classifier(fit.train.features[:50], fit.train.class_label[:50],
+                                   epochs=1)
+    runs = [("OOD CF", batch_generate(ood, model=fit.model, projection=fit.projection,
+                                      cfg=cfg.generation(), targets=targets)),
+            ("CFI", batch_generate(ood, variant="cfi", classifier=clf,
+                                   cfi_cfg=cfg.cfi(), targets=targets, record=False)),
+            ("empty", [])]
+    assert any(r.failed for r in runs[0][1]) and not all(r.failed for r in runs[0][1])
+    header = [f"c{j}" for j in range(8 + 3 * fit.train.n_features)]
+    got = [row for name, results in runs for row in cli._counterfactual_rows(results, name)]
+    want = [row for name, results in runs for row in _oracle_counterfactual_rows(results, name)]
+    assert [list(row) for row in got] == want
+    cli.write_csv(tmp_path / "cf.csv", header, iter(got), cfg)
+    blob = (tmp_path / "cf.csv").read_bytes()
+    assert blob == _csv_writer_bytes(header, want, cfg)
+    assert b'"UnknownClass: target class 5 not in [0, 2)"' in blob
+
+
+def test_linalg_error_exits_numeric(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "fit_projection", singular)
+    assert run_cli(["partition", "--seeds", "0", "--n-per-class", "50",
+                    "--out", tmp_path / "p"]) == 4
+    record = json.loads((tmp_path / "p" / "error.json").read_text())
+    assert record["error"] == "NumericError" and record["exit_code"] == 4
+    assert "Singular matrix" in record["message"]
+    assert json.loads(capsys.readouterr().err) == record

@@ -126,24 +126,26 @@ def ood_score(model, proj, x):
 class TestOodScore:
     def test_total_is_exact_sum(self, toy_fit):
         # scores.csv writes l_total as the sum of the two batched columns
-        ln, ld = density.ood_scores(toy_fit.model, toy_fit.projection,
-                                    np.array([[0.0, 2.0]]))
+        ln, ld = density.ood_scores(
+            toy_fit.model, projection.project(toy_fit.projection, np.array([[0.0, 2.0]])))
         assert sum(ood_score(toy_fit.model, toy_fit.projection, [0.0, 2.0])) == ln[0] + ld[0]
 
     def test_deterministic(self, toy_fit):
-        x = np.array([[1.0, 1.0], [0.0, 2.0]])
-        a = density.ood_scores(toy_fit.model, toy_fit.projection, x)
-        b = density.ood_scores(toy_fit.model, toy_fit.projection, x)
+        z = projection.project(toy_fit.projection, np.array([[1.0, 1.0], [0.0, 2.0]]))
+        a = density.ood_scores(toy_fit.model, z)
+        b = density.ood_scores(toy_fit.model, z)
         assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
     def test_ood_centroid_above_id_median(self, toy_fit):
         centroid = sum(ood_score(toy_fit.model, toy_fit.projection, [0.0, 2.0]))
         id_train = toy_fit.train.features[~toy_fit.train.ood_flag]
-        ln, ld = density.ood_scores(toy_fit.model, toy_fit.projection, id_train)
+        ln, ld = density.ood_scores(toy_fit.model,
+                                    projection.project(toy_fit.projection, id_train))
         assert centroid > np.median(ln + ld)
 
     def test_batch_matches_single(self, toy_fit, toy_ood):
-        ln, ld = density.ood_scores(toy_fit.model, toy_fit.projection, toy_ood[:20])
+        ln, ld = density.ood_scores(toy_fit.model,
+                                    projection.project(toy_fit.projection, toy_ood[:20]))
         for i in range(20):
             one_n, one_d = ood_score(toy_fit.model, toy_fit.projection, toy_ood[i])
             assert one_n == pytest.approx(ln[i], rel=1e-12)

@@ -165,6 +165,15 @@ class TestAurocAgainstLoop:
             pos, neg = np.round(pos, decimals), np.round(neg, decimals)
         self.check(pos, neg)
 
+    def test_toy_score_size_with_nans(self):
+        # 140000 scores, NaNs on both sides among heavy ties
+        gen = np.random.default_rng(5)
+        pos = np.round(gen.normal(1.0, 1.0, 40_000), 2)
+        neg = np.round(gen.normal(size=100_000), 2)
+        pos[gen.choice(pos.size, 300, replace=False)] = np.nan
+        neg[gen.choice(neg.size, 700, replace=False)] = np.nan
+        self.check(pos, neg)
+
 
 def fake_results(points):
     out = []

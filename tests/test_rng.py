@@ -48,3 +48,27 @@ def test_permutation_deterministic():
     a = rng.permutation(rng.generator(11), 64)
     b = rng.permutation(rng.generator(11), 64)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 115, 1600, 100_000])
+def test_permutation_is_stable_argsort_of_uniforms(n):
+    u = rng.generator(5).random(n)
+    assert np.array_equal(rng.permutation(rng.generator(5), n),
+                          np.argsort(u, kind="stable"))
+
+
+class _TiedUniforms:
+    """A generator stub whose uniforms repeat, so the sort meets ties."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return self.u[:n].copy()
+
+
+@pytest.mark.parametrize("levels", [2, 10, 1000])
+def test_permutation_breaks_ties_stably(levels):
+    u = np.random.default_rng(levels).integers(0, levels, 5000) / levels
+    assert np.array_equal(rng.permutation(_TiedUniforms(u), u.size),
+                          np.argsort(u, kind="stable"))
