@@ -1,5 +1,6 @@
 """Full-covariance Gaussian component shared by the QDA classifier and the
-per-partition density models.
+per-partition density models, the one way rows are whitened, and the class
+moments every model of a seed is cut from.
 
 Covariance regularization policy: try the Cholesky factorization of the
 sample covariance; on failure add ridge*I with ridge = 1e-6 * trace/m and
@@ -13,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance
+from .errors import DataError, DimensionMismatch, SingularCovariance
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_START = 1e-6
 _RIDGE_ESCALATIONS = 16
+_POOL_CHUNK = 1 << 13  # rows per centred block of the pooled covariance
 
 
 def regularized_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -43,6 +45,23 @@ def regularized_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
         f"covariance not positive definite after ridge escalation to {ridge:g}")
 
 
+def whitened_sq(chol: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """||L^-1 d||^2 for the columns d of D (..., m, n) and lower-triangular L
+    (..., m, m), by forward substitution that finishes one row of L^-1 D at a
+    time and takes it out of the rows below. Only elementwise numpy touches
+    the columns, so a column's value never depends on the other columns."""
+    Y = np.array(D, dtype=float, order="C")
+    with np.errstate(over="ignore", invalid="ignore"):  # far-off rows overflow to +inf
+        for i in range(chol.shape[-1]):
+            Y[..., i, :] /= chol[..., i, i, None]
+            Y[..., i + 1:, :] -= chol[..., i + 1:, i, None] * Y[..., i, None, :]
+        np.square(Y, out=Y)
+        quad = Y[..., 0, :].copy()
+        for i in range(1, chol.shape[-1]):
+            quad += Y[..., i, :]
+    return quad
+
+
 @dataclass(frozen=True)
 class GaussianComponent:
     """Gaussian with cached Cholesky factor, its inverse, and log-determinant.
@@ -57,17 +76,6 @@ class GaussianComponent:
     chol_inv: np.ndarray
     log_det: float
     ridge: float = 0.0
-
-    @classmethod
-    def fit(cls, Z: np.ndarray) -> "GaussianComponent":
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        n, m = Z.shape
-        if n < 2:
-            raise SingularCovariance(f"need >= 2 rows to fit a Gaussian, got {n}")
-        mean = Z.mean(axis=0)
-        centered = Z - mean
-        cov = centered.T @ centered / (n - 1)
-        return cls.from_moments(mean, cov)
 
     @classmethod
     def from_moments(cls, mean, cov) -> "GaussianComponent":
@@ -104,21 +112,57 @@ class GaussianComponent:
         y = np.einsum("ij,...j->...i", self.chol_inv, z - self.mean)
         return np.einsum("ji,...j->...i", self.chol_inv, y)
 
-    def log_density(self, z: np.ndarray):
-        out = self.nll(z)
-        return -out
-
     def mahalanobis_sq(self, z: np.ndarray):
         """(z - mean)^T Sigma^{-1} (z - mean); vector or batch."""
         z = self._check(z)
-        single = z.ndim == 1
-        diff = np.atleast_2d(z) - self.mean
-        y = np.linalg.solve(self.chol, diff.T)
-        with np.errstate(over="ignore"):
-            quad = (y * y).sum(axis=0)
-        return float(quad[0]) if single else quad
+        quad = whitened_sq(self.chol, (np.atleast_2d(z) - self.mean).T)
+        return float(quad[0]) if z.ndim == 1 else quad
 
     @property
     def mode_nll(self) -> float:
         """NLL at the mean: 0.5 * (m log 2pi + log|Sigma|)."""
         return 0.5 * (self.dim * LOG_2PI + self.log_det)
+
+
+@dataclass(frozen=True)
+class ClassMoments:
+    """Per-class means (C, k), sample covariances (C, k, k) and row counts (C,)
+    of labelled rows, and the pooled mean (k,) and covariance (k, k)."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    counts: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def gaussian(self, dims, c: int | None = None) -> GaussianComponent:
+        """Class c's Gaussian (None: the pooled one) over the columns `dims`."""
+        mean, cov = (self.mean, self.cov) if c is None else (self.means[c], self.covs[c])
+        dims = list(dims)
+        return GaussianComponent.from_moments(mean[dims], cov[np.ix_(dims, dims)])
+
+
+def class_moments(Z: np.ndarray, Y: np.ndarray) -> ClassMoments:
+    """Moments of the rows of Z by their class ids Y, which must be 0..C-1.
+    The pooled covariance sums the centred rows `_POOL_CHUNK` at a time, so
+    no centred copy of all of Z is made."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Y = np.asarray(Y)
+    if Y.size == 0 or Y.min() < 0 or not (counts := np.bincount(Y)).all():
+        raise DataError("class labels must be contiguous ids starting at 0")
+    means, covs = [], []
+    for c, n in enumerate(counts.tolist()):
+        if n < 2:
+            raise SingularCovariance(f"need >= 2 rows to fit a Gaussian, got {n}")
+        members = Z[Y == c]
+        if not np.isfinite(members).all():
+            raise SingularCovariance(f"class {c} has non-finite train rows")
+        means.append(members.mean(axis=0))
+        centered = members - means[-1]
+        covs.append(centered.T @ centered / (n - 1))
+    mean, scatter = Z.mean(axis=0), 0.0
+    for start in range(0, len(Z), _POOL_CHUNK):
+        centered = Z[start:start + _POOL_CHUNK] - mean
+        scatter = scatter + centered.T @ centered
+    return ClassMoments(np.array(means), np.array(covs), counts, mean,
+                        scatter / (len(Z) - 1))

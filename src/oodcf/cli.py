@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import sys
+import types
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -47,8 +48,10 @@ from .dataset import (
     split,
 )
 from .density import (
+    ClassMoments,
     MahalanobisScorer,
     MarginalMahalanobisScorer,
+    class_moments,
     fit_partition_density,
     ood_scores,
 )
@@ -264,6 +267,7 @@ class PipelineFit:
     test: LabeledDataset
     projection: object
     partition: Partition
+    moments: ClassMoments
     model: object
     Z_train: np.ndarray
     Z_eval: np.ndarray
@@ -282,11 +286,12 @@ def fit_pipeline(cfg: RunConfig, seed: int) -> PipelineFit:
     Z_train = project(projection, train.features)
     id_test = test.id_rows()
     Z_eval = project(projection, id_test.features)
-    part = search_partition(Z_train, train.class_label, Z_eval,
-                            slack=cfg.slack, cap=cfg.cap)
-    model = fit_partition_density(Z_train, train.class_label, part)
-    return PipelineFit(train=train, test=test, projection=projection,
-                       partition=part, model=model, Z_train=Z_train, Z_eval=Z_eval)
+    # the seed's one moment pass: the search, the model and both baselines use it
+    moments = class_moments(Z_train, train.class_label)
+    part = search_partition(moments, Z_eval, slack=cfg.slack, cap=cfg.cap)
+    model = fit_partition_density(Z_train, train.class_label, moments, part)
+    return PipelineFit(train=train, test=test, projection=projection, partition=part,
+                       moments=moments, model=model, Z_train=Z_train, Z_eval=Z_eval)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -302,9 +307,8 @@ def _plain_csv(rows: list, line: str, width: int) -> str | None:
     """`rows` as csv text by one `line` format per row, or None when a row
     is not a `width`-tuple or a cell might need csv quoting or prints
     differently. csv prints every non-str, non-None cell by str(), as `%s`
-    does; it prints None as an empty field, quotes a lone empty field and a
-    cell holding a comma, quote or LF, and on some Python versions one
-    holding a CR."""
+    does; it prints None as an empty field, and `write_csv` has it quote a
+    lone empty field and a cell holding a comma, quote, LF or CR."""
     if width < 2:
         return None
     try:
@@ -320,13 +324,18 @@ def _plain_csv(rows: list, line: str, width: int) -> str | None:
 
 def write_csv(path, header, rows, cfg: RunConfig):
     """The provenance line, the header and `rows`, byte for byte as
-    `csv.writer` writes them; chunks of plain rows skip its per-cell work."""
+    `csv.writer` writes them with LF line ends, except that a cell holding
+    a CR is quoted too (it would read back as a line break otherwise);
+    chunks of plain rows skip its per-cell work."""
     width = len(header)
     line = ",".join(["%s"] * width) + "\n"
     rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {_provenance(cfg)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+        # with a CRLF line terminator csv quotes a cell holding a bare CR too;
+        # `writerow` hands over each row in one write, which ends it in LF
+        lf_rows = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        writer = csv.writer(lf_rows, lineterminator="\r\n")
         writer.writerow(header)
         while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
             text = _plain_csv(chunk, line, width)
@@ -343,9 +352,16 @@ def write_json(path, payload: dict, cfg: RunConfig):
         fh.write("\n")
 
 
-def partition_rows(part: Partition):
-    return [(r.cardinality, "|".join(map(str, r.subset)), r.loss, r.normalized,
+def write_partition(path, part: Partition, cfg: RunConfig):
+    rows = [(r.cardinality, "|".join(map(str, r.subset)), r.loss, r.normalized,
              int(r.within_threshold), int(r.chosen)) for r in part.per_cardinality]
+    write_csv(path, ["cardinality", "subset", "loss", "normalized", "within_threshold",
+                     "chosen"], rows, cfg)
+
+
+def _traj_header(names) -> list:
+    return ["row_id", "variant", "phase", "step", *[f"u_{n}" for n in names],
+            "nll_non_dis", "nll_dis"]
 
 
 def print_partition(part: Partition):
@@ -432,11 +448,8 @@ def _toy_figures(cfg: RunConfig, fit: PipelineFit, out: Path):
             plot.add_polyline(f"{trace.phase} step", phase_colors[trace.phase], raw)
         plot.write(out / f"toy_trajectory_{order_key}.svg")
         if cfg.emit_trajectories:
-            rows = _traj_rows(fit, [res], "full")
-            header = (["row_id", "variant", "phase", "step"]
-                      + [f"u_{n}" for n in train.feature_names]
-                      + ["nll_non_dis", "nll_dis"])
-            write_csv(out / f"toy_trajectory_{order_key}.csv", header, rows, cfg)
+            write_csv(out / f"toy_trajectory_{order_key}.csv",
+                      _traj_header(train.feature_names), _traj_rows(fit, [res], "full"), cfg)
 
 
 def cmd_toy(cfg: RunConfig) -> int:
@@ -453,8 +466,8 @@ def cmd_toy(cfg: RunConfig) -> int:
         if first_fit is None:
             first_fit = fit
         Zood = project(fit.projection, fit.test.ood_rows().features)
-        mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label)
-        marg = MarginalMahalanobisScorer.fit(fit.Z_train)
+        mah = MahalanobisScorer.fit(fit.model)
+        marg = MarginalMahalanobisScorer.fit(fit.moments)
         ln_id, ld_id = ood_scores(fit.model, fit.Z_eval)
         ln_ood, ld_ood = ood_scores(fit.model, Zood)
         per_seed["Mahalanobis Distance"].append(
@@ -484,9 +497,7 @@ def cmd_toy(cfg: RunConfig) -> int:
     for j, h in enumerate(ent):
         print(f"H[Y|pc{j + 1}] = {h:.3g} bits")
     print_partition(first_fit.partition)
-    write_csv(out / "toy_partition.csv",
-              ["cardinality", "subset", "loss", "normalized", "within_threshold", "chosen"],
-              partition_rows(first_fit.partition), cfg)
+    write_partition(out / "toy_partition.csv", first_fit.partition, cfg)
 
     _toy_figures(cfg, first_fit, out)
     save_projection(first_fit.projection, out / "toy_projection.json",
@@ -559,10 +570,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     for seed in fits:
         fit = fits[seed]
-        write_csv(out / f"partition_seed{seed}.csv",
-                  ["cardinality", "subset", "loss", "normalized",
-                   "within_threshold", "chosen"],
-                  partition_rows(fit.partition), cfg)
+        write_partition(out / f"partition_seed{seed}.csv", fit.partition, cfg)
         names = fit.train.feature_names
         header = (["row_id", "variant", "target_class", "error",
                    "non_dis_before", "dis_before", "non_dis_after", "dis_after"]
@@ -578,10 +586,8 @@ def cmd_run(cfg: RunConfig) -> int:
             traj_rows = itertools.chain.from_iterable(
                 _traj_rows(fit, results_cache[(seed, variant)], approach_names[variant])
                 for variant in cfg.variants if variant != "cfi")
-            theader = (["row_id", "variant", "phase", "step"]
-                       + [f"u_{n}" for n in fit.train.feature_names]
-                       + ["nll_non_dis", "nll_dis"])
-            write_csv(out / f"trajectories_seed{seed}.csv", theader, traj_rows, cfg)
+            write_csv(out / f"trajectories_seed{seed}.csv",
+                      _traj_header(fit.train.feature_names), traj_rows, cfg)
     return 0
 
 
@@ -592,9 +598,7 @@ def cmd_partition(cfg: RunConfig) -> int:
         cfg.k = 2
     fit = fit_pipeline(cfg, cfg.seeds[0])
     print_partition(fit.partition)
-    write_csv(out / "partition.csv",
-              ["cardinality", "subset", "loss", "normalized", "within_threshold", "chosen"],
-              partition_rows(fit.partition), cfg)
+    write_partition(out / "partition.csv", fit.partition, cfg)
     return 0
 
 
@@ -607,8 +611,8 @@ def cmd_score(cfg: RunConfig) -> int:
     test = fit.test
     Z = project(fit.projection, test.features)
     ln, ld = ood_scores(fit.model, Z)
-    mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label).score(Z)
-    marg = MarginalMahalanobisScorer.fit(fit.Z_train).score(Z)
+    mah = MahalanobisScorer.fit(fit.model).score(Z)
+    marg = MarginalMahalanobisScorer.fit(fit.moments).score(Z)
     # Python floats from tolist() print by repr, the same text as numpy's str
     rows = zip(range(test.n_rows), ln.tolist(), ld.tolist(), (ln + ld).tolist(),
                mah.tolist(), marg.tolist(), test.ood_flag.astype(int).tolist())

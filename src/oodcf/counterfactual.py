@@ -117,10 +117,10 @@ class CounterfactualResult:
 class _RowGaussians:
     """One Gaussian per row, gathered from a component list by class id.
 
-    `GaussianComponent.nll` solves with the Cholesky factor over a whole
-    batch at once, and a row's value there can change in the last bit with
-    the batch it sits in; whitening with the cached inverse factor row by
-    row keeps the engine's results independent of batch companions.
+    The engine whitens with the cached inverse factor, one row-wise product
+    per step that also gives the gradient. Like the forward substitution of
+    `GaussianComponent.nll`, it keeps a row's value independent of its batch
+    companions, but the two round differently in the last bits.
     """
 
     mean: np.ndarray      # (n, m)
@@ -318,13 +318,7 @@ def select_target(model: PartitionDensityModel, projection: ProjectionModel, x):
     """
     x = np.asarray(x, dtype=float)
     Z = project(projection, np.atleast_2d(x))[:, list(model.partition.z_d)]
-    n = Z.shape[0]
-    nlls = []
-    for c in range(model.n_classes):
-        g = _RowGaussians.gather(model.dis_per_class, np.full(n, c))
-        with np.errstate(over="ignore"):  # a far-off row's NLL may overflow to +inf
-            nlls.append(g.nll(g.whiten(Z)))
-    targets = np.argmin(np.stack(nlls, axis=1), axis=1)
+    targets = np.argmin(np.stack([g.nll(Z) for g in model.dis_per_class], axis=1), axis=1)
     return int(targets[0]) if x.ndim == 1 else targets
 
 

@@ -160,7 +160,7 @@ def load_csv(path, label_column: str) -> RawTable:
     are a hard error rather than being imputed.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")  # drops a leading BOM
     except OSError as exc:
         raise DataError(f"{path}: cannot open data file ({exc.strerror})") from exc
     with fh:

@@ -3,8 +3,8 @@ OOD scores, and the two Mahalanobis baselines.
 
 The non-discriminative dims get one pooled Gaussian over all ID train rows;
 the discriminative dims get one Gaussian per ID class. NLLs use the natural
-log (base 2 is reserved for entropies). Sorted training NLLs are kept on
-the model so counterfactual generation can stop at any train quantile.
+log (base 2 is reserved for entropies), and every Gaussian is cut from the
+seed's `ClassMoments`. Training NLLs are kept for the quantile stop rules.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gaussian import GaussianComponent
-from .errors import DataError, DimensionMismatch, UnknownClass
+from ._gaussian import ClassMoments, GaussianComponent, class_moments
+from .errors import DimensionMismatch, UnknownClass
 from .partition import Partition
 
 __all__ = [
-    "GaussianComponent", "PartitionDensityModel", "fit_partition_density",
-    "nll_non_dis", "nll_dis", "ood_scores", "MahalanobisScorer",
+    "ClassMoments", "GaussianComponent", "PartitionDensityModel", "class_moments",
+    "fit_partition_density", "nll_dis", "ood_scores", "MahalanobisScorer",
     "MarginalMahalanobisScorer",
 ]
 
@@ -29,9 +29,9 @@ class PartitionDensityModel:
     """Pooled Gaussian over z_n dims, class-conditional Gaussians over z_d dims.
 
     `joint_per_class` holds class-conditional Gaussians over all latent dims
-    for the single-Gaussian ablation. The *_train_nlls arrays are sorted
+    for the single-Gaussian ablation. The *_train_nlls arrays are the
     training NLLs (per class for the class-conditional families, own-class
-    rows only) used for quantile stopping rules.
+    rows only), in train row order, used for quantile stopping rules.
     """
 
     non_dis: GaussianComponent
@@ -59,44 +59,35 @@ class PartitionDensityModel:
         raise ValueError(f"unknown phase {phase!r}")
 
 
-def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray,
+def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: ClassMoments,
                           partition: Partition) -> PartitionDensityModel:
+    """Gaussians cut from the `moments` of (Z_train, Y_train), and their train NLLs."""
     Z_train = np.atleast_2d(np.asarray(Z_train, dtype=float))
     Y_train = np.asarray(Y_train)
-    if Z_train.shape[1] != partition.k:
+    if not Z_train.shape[1] == len(moments.mean) == partition.k:
         raise DimensionMismatch(
-            f"latents have {Z_train.shape[1]} dims, partition covers {partition.k}")
-    classes = np.unique(Y_train)
-    if classes.size < 1 or not np.array_equal(classes, np.arange(classes.size)):
-        raise DataError("class labels must be contiguous ids starting at 0")
+            f"latents have {Z_train.shape[1]} dims, moments {len(moments.mean)}, "
+            f"partition covers {partition.k}")
 
     zn, zd = list(partition.z_n), list(partition.z_d)
-    non_dis = GaussianComponent.fit(Z_train[:, zn])
-    dis_per_class, joint_per_class = [], []
-    dis_nlls, joint_nlls = [], []
-    for c in classes:
+    non_dis = moments.gaussian(zn)
+    dis_per_class, joint_per_class, dis_nlls, joint_nlls = [], [], [], []
+    for c in range(len(moments.counts)):
         rows = Z_train[Y_train == c]
-        dis = GaussianComponent.fit(rows[:, zd])
-        joint = GaussianComponent.fit(rows)
-        dis_per_class.append(dis)
-        joint_per_class.append(joint)
-        dis_nlls.append(np.sort(dis.nll(rows[:, zd])))
-        joint_nlls.append(np.sort(joint.nll(rows)))
+        dis_per_class.append(moments.gaussian(zd, c))
+        joint_per_class.append(moments.gaussian(range(partition.k), c))
+        dis_nlls.append(dis_per_class[c].nll(rows[:, zd]))
+        joint_nlls.append(joint_per_class[c].nll(rows))
 
     return PartitionDensityModel(
         non_dis=non_dis,
         dis_per_class=dis_per_class,
         joint_per_class=joint_per_class,
         partition=partition,
-        non_dis_train_nlls=np.sort(non_dis.nll(Z_train[:, zn])),
+        non_dis_train_nlls=non_dis.nll(Z_train[:, zn]),
         dis_train_nlls=dis_nlls,
         joint_train_nlls=joint_nlls,
     )
-
-
-def nll_non_dis(model: PartitionDensityModel, z_n: np.ndarray):
-    """Exact Gaussian NLL of a z_n-dimensional point (or batch)."""
-    return model.non_dis.nll(z_n)
 
 
 def nll_dis(model: PartitionDensityModel, z_d: np.ndarray, target: int | None = None):
@@ -116,7 +107,7 @@ def nll_dis(model: PartitionDensityModel, z_d: np.ndarray, target: int | None = 
 def ood_scores(model: PartitionDensityModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched (l_n, l_d) for a matrix of latents."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    ln = nll_non_dis(model, Z[:, list(model.partition.z_n)])
+    ln = model.non_dis.nll(Z[:, list(model.partition.z_n)])
     ld = nll_dis(model, Z[:, list(model.partition.z_d)], target=None)
     return ln, ld
 
@@ -130,12 +121,9 @@ class MahalanobisScorer:
     components: list[GaussianComponent]
 
     @classmethod
-    def fit(cls, Z_train: np.ndarray, Y_train: np.ndarray) -> "MahalanobisScorer":
-        Z_train = np.atleast_2d(np.asarray(Z_train, dtype=float))
-        Y_train = np.asarray(Y_train)
-        comps = [GaussianComponent.fit(Z_train[Y_train == c])
-                 for c in np.unique(Y_train)]
-        return cls(components=comps)
+    def fit(cls, model: PartitionDensityModel) -> "MahalanobisScorer":
+        """The model's joint class-conditional Gaussians (the sg ablation's)."""
+        return cls(components=model.joint_per_class)
 
     def score(self, z: np.ndarray):
         per_class = [comp.mahalanobis_sq(z) for comp in self.components]
@@ -151,8 +139,8 @@ class MarginalMahalanobisScorer:
     component: GaussianComponent
 
     @classmethod
-    def fit(cls, Z_train: np.ndarray) -> "MarginalMahalanobisScorer":
-        return cls(component=GaussianComponent.fit(Z_train))
+    def fit(cls, moments: ClassMoments) -> "MarginalMahalanobisScorer":
+        return cls(component=moments.gaussian(range(len(moments.mean))))
 
     def score(self, z: np.ndarray):
         return self.component.mahalanobis_sq(z)

@@ -10,29 +10,31 @@ held-out rows. Per cardinality the best subset is kept; the per-cardinality
 minima are z-score-normalized, and the smallest cardinality within a slack
 threshold of the best normalized value becomes z_d.
 
-The search fits each class's mean and covariance once on all k latents; a
-subset's QDA parameters are the principal submatrices of those moments. The
-entropies come from a walk over the subset tree. For a subset S and the dims
-j above every dim of S, the walk keeps, per class: the Mahalanobis sums of
-the eval rows and the log-determinant so far, the eval-row residuals of those
-dims conditioned on S, and their conditional covariance. Growing S by its
-next dim j is one Schur-complement step: the pivot d^2 = Sigma_jj|S adds
-r_j^2 / d^2 to the sums and log d^2 to the log-determinant, and one rank-one
-update conditions the remaining residuals and covariance on j. Dims are added
-in increasing order, so the pivots are those of the Cholesky factorization
-of the sorted principal submatrix. The walk is depth first over batches of
-at most `_CHUNK` subsets whose arrays share one width, so memory stays
-bounded at any k, and each entropy is written at its `combinations` position
-through a mask -> position table built once per search.
+The search takes each class's mean and covariance on all k latents from the
+seed's `ClassMoments`; a subset's QDA parameters are the principal
+submatrices of those moments. The entropies come from a walk over the
+subset tree. For a subset S and the dims j above every dim of S, the walk
+keeps, per class: the Mahalanobis sums of the eval rows and the
+log-determinant so far, the eval-row residuals of those dims conditioned on
+S, and their conditional covariance. Growing S by its next dim j is one
+Schur-complement step: the pivot d^2 = Sigma_jj|S adds r_j^2 / d^2 to the
+sums and log d^2 to the log-determinant, and one rank-one update conditions
+the remaining residuals and covariance on j. Dims are added in increasing
+order, so the pivots are those of the Cholesky factorization of the sorted
+principal submatrix. The walk is depth first over batches of at most
+`_CHUNK` subsets whose arrays share one width, so memory stays bounded at
+any k, and each entropy is written at its `combinations` position through a
+mask -> position table built once per search.
 
 A pivot that is non-finite or not above `_PIVOT_FLOOR` times the dim's
 variance Sigma_jj has lost most of its digits to cancellation, and there a
 direct factorization, whose failure decides the covariance ridge, may judge
 the submatrix differently. Such a subset and every subset grown from it are
-scored directly instead: a batched Cholesky factorization and solve on the
-principal submatrices, with the ridge escalation of
-`GaussianComponent.from_moments` where one fails. Non-finite train rows
-raise `SingularCovariance` before any moment is taken; a class covariance
+scored directly instead: a batched Cholesky factorization of the principal
+submatrices, with the ridge escalation of `GaussianComponent.from_moments`
+where one fails, and the forward substitution `whitened_sq` that every
+Gaussian NLL uses. Non-finite train rows raise `SingularCovariance` in
+`class_moments`, before any moment is taken; a class covariance
 that still overflows gives non-finite pivots, so it reaches the direct path
 too, which raises `SingularCovariance`.
 """
@@ -46,14 +48,13 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ._gaussian import LOG_2PI, GaussianComponent
+from ._gaussian import LOG_2PI, ClassMoments, GaussianComponent, class_moments, whitened_sq
 from .errors import (
     CapExceeded,
     DataError,
     DegenerateNormalizationWarning,
     DimensionMismatch,
     OutOfRange,
-    SingularCovariance,
 )
 
 DEFAULT_SLACK = 0.10
@@ -69,24 +70,12 @@ class QdaModel:
     components: list[GaussianComponent]
     priors: np.ndarray
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.components)
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
-
     def log_joint(self, Z: np.ndarray) -> np.ndarray:
-        """log p(z | c) + log prior, shape (n, C)."""
-        Z = np.asarray(Z, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[None, :]
-        if Z.shape[1] != self.dim:
-            raise DimensionMismatch(f"eval data has {Z.shape[1]} cols, model has {self.dim}")
-        cols = [comp.log_density(Z) + np.log(p)
-                for comp, p in zip(self.components, self.priors)]
-        return np.stack(cols, axis=1)
+        """log p(z | c) + log prior, shape (n, C); the components reject a
+        wrong width with DimensionMismatch."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        return np.stack([np.log(p) - comp.nll(Z)
+                         for comp, p in zip(self.components, self.priors)], axis=1)
 
     def posterior(self, Z: np.ndarray) -> np.ndarray:
         """P(c | z) rows summing to 1, shape (n, C)."""
@@ -100,11 +89,18 @@ def _softmax(lj: np.ndarray) -> np.ndarray:
     return p
 
 
+def _priors(moments: ClassMoments) -> np.ndarray:
+    if len(moments.counts) < 2:
+        raise DataError(f"QDA needs >= 2 classes, got {len(moments.counts)}")
+    return moments.counts / moments.counts.sum()
+
+
 def fit_qda(Z: np.ndarray, Y: np.ndarray) -> QdaModel:
     """Class-conditional Gaussians with ridge-regularized covariances."""
-    means, covs, priors = _class_moments(np.atleast_2d(np.asarray(Z, dtype=float)), Y)
-    return QdaModel(components=[GaussianComponent.from_moments(m, s)
-                                for m, s in zip(means, covs)], priors=priors)
+    moments = class_moments(Z, Y)
+    priors = _priors(moments)
+    return QdaModel(components=[moments.gaussian(range(len(moments.mean)), c)
+                                for c in range(len(priors))], priors=priors)
 
 
 def _posterior_entropy_bits(P: np.ndarray) -> np.ndarray:
@@ -122,29 +118,6 @@ def conditional_entropy(model: QdaModel, Z_eval: np.ndarray) -> float:
     """
     P = model.posterior(Z_eval)
     return float(_posterior_entropy_bits(P).mean())
-
-
-def _class_moments(Z: np.ndarray, Y: np.ndarray):
-    """Per-class means (C, k), sample covariances (C, k, k) and empirical
-    priors (C,)."""
-    Y = np.asarray(Y)
-    classes = np.unique(Y)
-    if classes.size < 2:
-        raise DataError(f"QDA needs >= 2 classes, got {classes.size}")
-    means, covs, counts = [], [], []
-    for c in classes:
-        members = Z[Y == c]
-        n = members.shape[0]
-        if n < 2:
-            raise SingularCovariance(f"need >= 2 rows to fit a Gaussian, got {n}")
-        if not np.isfinite(members).all():
-            raise SingularCovariance(f"class {c} has non-finite train rows")
-        mean = members.mean(axis=0)
-        centered = members - mean
-        means.append(mean)
-        covs.append(centered.T @ centered / (n - 1))
-        counts.append(n)
-    return np.array(means), np.array(covs), np.array(counts) / Z.shape[0]
 
 
 def _factor(means: np.ndarray, covs: np.ndarray):
@@ -184,9 +157,7 @@ def _direct_entropies(means, covs, log_priors, Zt, idx) -> np.ndarray:
         chunk = idx[start:start + _CHUNK]                              # (B, c)
         sub_means = means[:, chunk]                                    # (C, B, c)
         chol, log_det = _factor(sub_means, covs[:, chunk[:, :, None], chunk[:, None, :]])
-        y = np.linalg.solve(chol, Zt[chunk] - sub_means[..., None])   # (C, B, c, n)
-        with np.errstate(over="ignore"):
-            quad = (y * y).sum(axis=-2)                                # (C, B, n)
+        quad = whitened_sq(chol, Zt[chunk] - sub_means[..., None])     # (C, B, n)
         lj = -(0.5 * (c * LOG_2PI + log_det[..., None] + quad)) + log_priors[:, None, None]
         out.append(_mean_entropy(np.moveaxis(lj, 0, -1)))
     return np.concatenate(out)
@@ -301,19 +272,20 @@ class Partition:
         return len(self.z_d) + len(self.z_n)
 
 
-def search_partition(Z_train, Y_train, Z_eval, slack: float = DEFAULT_SLACK,
+def search_partition(moments: ClassMoments, Z_eval, slack: float = DEFAULT_SLACK,
                      cap: int = DEFAULT_CAP) -> Partition:
-    """Exhaustive search over all subsets of the latent dims.
+    """Exhaustive search over all subsets of the latent dims; each QDA is
+    cut from the train `moments`.
 
     For each cardinality c in [1, k-1] the subset minimizing the partition
     loss is recorded (lexicographically smallest on ties). The k-1 minima
     are z-score-normalized; with m their minimum, cardinalities whose
     normalized value is below m + |m|*slack (or exactly equal to it)
-    qualify, and the smallest qualifying cardinality becomes |z_d|.
+    qualify, and the smallest qualifying cardinality becomes |z_d|. A
+    single cardinality (k = 2) is chosen as it is.
     """
-    Z_train = np.atleast_2d(np.asarray(Z_train, dtype=float))
     Z_eval = np.atleast_2d(np.asarray(Z_eval, dtype=float))
-    k = Z_train.shape[1]
+    k = len(moments.mean)
     if k < 2:
         raise OutOfRange(f"partition search needs k >= 2 latent dims, got {k}")
     if k > cap:
@@ -324,7 +296,7 @@ def search_partition(Z_train, Y_train, Z_eval, slack: float = DEFAULT_SLACK,
     if Z_eval.shape[1] != k:
         raise DimensionMismatch("train and eval latent dimensionality differ")
 
-    entropy = _subset_entropies(*_class_moments(Z_train, Y_train), Z_eval)
+    entropy = _subset_entropies(moments.means, moments.covs, _priors(moments), Z_eval)
     best_per_card: list[tuple[int, tuple[int, ...], float]] = []
     for c in range(1, k):
         # the complement of the i-th c-subset is the (N-1-i)-th (k-c)-subset
@@ -336,9 +308,10 @@ def search_partition(Z_train, Y_train, Z_eval, slack: float = DEFAULT_SLACK,
     notes: list[str] = []
     std = float(losses.std())
     if std == 0.0:
-        msg = "all per-cardinality minima equal; falling back to smallest cardinality"
-        warnings.warn(msg, DegenerateNormalizationWarning)
-        notes.append(msg)
+        if len(losses) > 1:  # one cardinality has nothing to be compared with
+            msg = "all per-cardinality minima equal; falling back to smallest cardinality"
+            warnings.warn(msg, DegenerateNormalizationWarning)
+            notes.append(msg)
         normalized = np.zeros_like(losses)
         threshold = None
         chosen_idx = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counterfactual import CounterfactualResult
-from .density import PartitionDensityModel, nll_dis, nll_non_dis, ood_scores
+from .density import PartitionDensityModel, ood_scores
 from .errors import DimensionMismatch, EmptyInput
 from .projection import ProjectionModel, project
 
@@ -78,11 +78,7 @@ def evaluate_run(counterfactuals: list[CounterfactualResult], id_test_features,
         raise EmptyInput("need at least one ID test row")
 
     X_cf = np.vstack([r.x_counterfactual for r in ok])
-    Z_cf = project(projection, X_cf)
-    zn = Z_cf[:, list(model.partition.z_n)]
-    zd = Z_cf[:, list(model.partition.z_d)]
-    ln_cf = nll_non_dis(model, zn)
-    ld_cf = nll_dis(model, zd, target=None)
+    ln_cf, ld_cf = ood_scores(model, project(projection, X_cf))
 
     ln_id, ld_id = ood_scores(model, project(projection, id_test))
     score_pos = -(ln_id + ld_id)

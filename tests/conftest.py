@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 from oodcf import dataset, density, partition, projection
-from oodcf.errors import DegenerateNormalizationWarning
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WINE_LIKE = DATA_DIR / "wine_like.csv"
@@ -18,6 +16,7 @@ class FittedToy:
     test: dataset.LabeledDataset
     projection: projection.ProjectionModel
     part: partition.Partition
+    moments: density.ClassMoments
     model: density.PartitionDensityModel
     Z_train: np.ndarray
     Z_eval: np.ndarray
@@ -30,13 +29,7 @@ def fit_toy(seed=0, n_per_class=1000, n_ood=1000) -> FittedToy:
         train.features[~train.ood_flag], 2, with_scaling=False)
     Z_train = projection.project(proj, train.features)
     Z_eval = projection.project(proj, test.id_rows().features)
-    with warnings.catch_warnings():
-        # k=2 has a single cardinality, so the normalization fallback fires
-        warnings.simplefilter("ignore", DegenerateNormalizationWarning)
-        part = partition.search_partition(Z_train, train.class_label, Z_eval)
-    model = density.fit_partition_density(Z_train, train.class_label, part)
-    return FittedToy(train=train, test=test, projection=proj, part=part,
-                     model=model, Z_train=Z_train, Z_eval=Z_eval)
+    return _fit(train, test, proj, Z_train, Z_eval)
 
 
 def fit_wine(seed=0) -> FittedToy:
@@ -47,9 +40,14 @@ def fit_wine(seed=0) -> FittedToy:
         train.features[~train.ood_flag], train.n_features, with_scaling=True)
     Z_train = projection.project(proj, train.features)
     Z_eval = projection.project(proj, test.id_rows().features)
-    part = partition.search_partition(Z_train, train.class_label, Z_eval)
-    model = density.fit_partition_density(Z_train, train.class_label, part)
-    return FittedToy(train=train, test=test, projection=proj, part=part,
+    return _fit(train, test, proj, Z_train, Z_eval)
+
+
+def _fit(train, test, proj, Z_train, Z_eval) -> FittedToy:
+    moments = density.class_moments(Z_train, train.class_label)
+    part = partition.search_partition(moments, Z_eval)
+    model = density.fit_partition_density(Z_train, train.class_label, moments, part)
+    return FittedToy(train=train, test=test, projection=proj, part=part, moments=moments,
                      model=model, Z_train=Z_train, Z_eval=Z_eval)
 
 

@@ -34,8 +34,8 @@ def toy_detection_aurocs(seed):
     Zood = projection.project(fit.projection, ood)
     ln_i, ld_i = density.ood_scores(fit.model, Zid)
     ln_o, ld_o = density.ood_scores(fit.model, Zood)
-    mah = density.MahalanobisScorer.fit(fit.Z_train, fit.train.class_label)
-    marg = density.MarginalMahalanobisScorer.fit(fit.Z_train)
+    mah = density.MahalanobisScorer.fit(fit.model)
+    marg = density.MarginalMahalanobisScorer.fit(fit.moments)
     return {
         "custom": report.auroc(-(ln_i + ld_i), -(ln_o + ld_o)),
         "mahalanobis": report.auroc(-mah.score(Zid), -mah.score(Zood)),

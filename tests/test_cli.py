@@ -207,8 +207,8 @@ class TestScoreCommand:
         test = fit.test
         Z = project(fit.projection, test.features)
         ln, ld = ood_scores(fit.model, Z)
-        mah = MahalanobisScorer.fit(fit.Z_train, fit.train.class_label).score(Z)
-        marg = MarginalMahalanobisScorer.fit(fit.Z_train).score(Z)
+        mah = MahalanobisScorer.fit(fit.model).score(Z)
+        marg = MarginalMahalanobisScorer.fit(fit.moments).score(Z)
         rows = [(i, ln[i], ld[i], ln[i] + ld[i], mah[i], marg[i],
                  int(test.ood_flag[i])) for i in range(test.n_rows)]
         expected = io.StringIO()
@@ -495,7 +495,6 @@ def _oracle_traj_rows(fit, results, variant):
 
 
 # k=2 has a single cardinality, so the partition normalization fallback fires
-@pytest.mark.filterwarnings("ignore::oodcf.errors.DegenerateNormalizationWarning")
 class TestTrajRowsAgainstOracle:
     """Batched trajectory rows: every cell but the two NLLs is the oracle's,
     of the same Python type, so it prints the same; the NLLs agree within
@@ -548,14 +547,23 @@ class TestRunDeterminism:
         rerun_identical(args, tmp_path / "r")
 
 
+def _csv_line(row):
+    """csv.writer's line for `row` with LF line ends, and each cell holding a
+    CR quoted too, which csv.writer leaves bare with an LF line terminator."""
+    cr = {i: cell for i, cell in enumerate(row) if isinstance(cell, str) and "\r" in cell}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [f"@cr{i}@" if i in cr else cell for i, cell in enumerate(row)])
+    line = buf.getvalue()
+    for i, cell in cr.items():
+        line = line.replace(f"@cr{i}@", '"' + cell.replace('"', '""') + '"', 1)
+    return line
+
+
 def _csv_writer_bytes(header, rows, cfg):
-    """What `write_csv` wrote before its fast path: csv.writer on every row."""
-    expected = io.StringIO()
-    expected.write(f"# config: {cli._provenance(cfg)}\n")
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return expected.getvalue().encode("utf-8")
+    """What `write_csv` must write: csv.writer on every row, CR cells quoted."""
+    lines = [f"# config: {cli._provenance(cfg)}\n", _csv_line(header)]
+    return "".join(lines + [_csv_line(row) for row in rows]).encode("utf-8")
 
 
 CELLS = st.one_of(
@@ -570,9 +578,57 @@ CELLS = st.one_of(
 )
 
 
+def write_wine(path, bom=False, label_last=False, first_feature=None):
+    """The wine-like table with a UTF-8 BOM, the label column moved last, or
+    the first feature renamed to a quoted `first_feature`."""
+    text = WINE.read_text(encoding="utf-8")
+    if label_last:
+        text = "".join(",".join(line.split(",")[1:] + line.split(",")[:1]) + "\n"
+                       for line in text.splitlines())
+    if first_feature is not None:
+        text = text.replace("alcohol", '"' + first_feature + '"', 1)
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
+    return path
+
+
+def wine_run(tmp_path, data):
+    return run_cli(["run", "--data", data, "--label-col", "target",
+                    "--ood-rule", "class_equals:2", "--seeds", "0",
+                    "--variants", "full", "--out", tmp_path / "r"])
+
+
+def read_back(path):
+    """Rows of a written CSV as csv.reader parses its bytes, CRs kept."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [row for row in csv.reader(fh) if not row[0].startswith("# config")]
+
+
+class TestHeaderNames:
+    """Header names of the data file reach the output headers intact."""
+
+    def test_bom_before_the_label_column(self, tmp_path):
+        assert wine_run(tmp_path, write_wine(tmp_path / "bom.csv", bom=True)) == 0
+        assert read_back(tmp_path / "r" / "counterfactuals_seed0.csv")[0][8] == "orig_alcohol"
+
+    def test_bom_before_a_feature_column(self, tmp_path):
+        data = write_wine(tmp_path / "bom.csv", bom=True, label_last=True)
+        assert wine_run(tmp_path, data) == 0
+        header = read_back(tmp_path / "r" / "counterfactuals_seed0.csv")[0]
+        assert header[8] == "orig_alcohol" and header[-1] == "delta_proline"
+        for path in (tmp_path / "r").iterdir():
+            assert "\ufeff" not in path.read_text(encoding="utf-8"), path.name
+
+    def test_cr_in_a_name_reads_back_at_header_width(self, tmp_path):
+        assert wine_run(tmp_path, write_wine(tmp_path / "cr.csv", first_feature="a\rb")) == 0
+        rows = read_back(tmp_path / "r" / "counterfactuals_seed0.csv")
+        assert rows[0][8] == "orig_a\rb" and len(rows[0]) == 8 + 3 * 13
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+
+
 class TestWriteCsvBytes:
     """`write_csv` writes the bytes csv.writer writes, for any cells and row
-    shapes; rows that need quoting take csv.writer within their chunk."""
+    shapes, except that a cell holding a CR is quoted; rows that need
+    quoting take csv.writer within their chunk."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
@@ -599,11 +655,20 @@ class TestWriteCsvBytes:
           ('q"t', "cr\r", "lf\n", "a,b", None, "", "None", 5e-324, -0.0, np.float32(0.1))],
         (["a", "b"], [(1.0, 2.0)] * 300 + [(1.0, 'q"t')] + [(3, None)] * 300),
         (["a", "b"], [(1.0, 2.0), ("x\r", 1), [1, 2], (1, 2, 3), (0.1,)]),
+        (["a\rb", "c"], [("\r", None), ('q"\r', "\r\n"), ("\r,", 2.5)]),
     ])
     def test_edge_tables(self, tmp_path, header, rows):
         cfg = cli.RunConfig()
         cli.write_csv(tmp_path / "t.csv", header, rows, cfg)
         assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(header, rows, cfg)
+
+    def test_cr_cells_are_quoted(self, tmp_path):
+        header, rows = ["a\rb", "c"], [("x\ry", 1), ('q"\r', "\r\n"), ("\r", None)]
+        cli.write_csv(tmp_path / "t.csv", header, rows, cli.RunConfig())
+        body = (tmp_path / "t.csv").read_bytes().split(b"\n", 1)[1]
+        assert body == b'"a\rb",c\n"x\ry",1\n"q""\r","\r\n"\n"\r",\n'
+        assert read_back(tmp_path / "t.csv") == [
+            ["a\rb", "c"], ["x\ry", "1"], ['q"\r', "\r\n"], ["\r", ""]]
 
 
 def _oracle_counterfactual_rows(results, variant):
@@ -619,7 +684,6 @@ def _oracle_counterfactual_rows(results, variant):
     return rows
 
 
-@pytest.mark.filterwarnings("ignore::oodcf.errors.DegenerateNormalizationWarning")
 def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
     # an UnknownClass error cell holds "not in [0, 2)": its comma must be quoted
     cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)

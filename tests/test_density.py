@@ -4,13 +4,29 @@ import numpy as np
 import pytest
 
 from oodcf import density, projection
-from oodcf.errors import DimensionMismatch, SingularCovariance, UnknownClass
+from oodcf.errors import DataError, DimensionMismatch, SingularCovariance, UnknownClass
 from oodcf.partition import Partition
 
 
 def tiny_partition(z_d, z_n):
     return Partition(z_d=tuple(z_d), z_n=tuple(z_n), per_cardinality=[],
                      chosen_cardinality=len(z_d), threshold=None)
+
+
+def fit_density(Z, Y, part):
+    return density.fit_partition_density(Z, Y, density.class_moments(Z, Y), part)
+
+
+def fit_mahalanobis(Z, Y):
+    """The class-conditional baseline as the pipeline fits it: from the
+    density model's joint Gaussians."""
+    k = Z.shape[1]
+    return density.MahalanobisScorer.fit(fit_density(Z, Y, tiny_partition([0], range(1, k))))
+
+
+def fit_marginal(Z, Y=None):
+    Y = np.zeros(len(Z), int) if Y is None else Y
+    return density.MarginalMahalanobisScorer.fit(density.class_moments(Z, Y))
 
 
 class TestFitPartitionDensity:
@@ -33,7 +49,7 @@ class TestFitPartitionDensity:
         Z = np.vstack([gen.normal(size=(10, 2)), [[9.0, 9.0]]])
         Y = np.array([0] * 10 + [1])
         with pytest.raises(SingularCovariance):
-            density.fit_partition_density(Z, Y, tiny_partition([0], [1]))
+            fit_density(Z, Y, tiny_partition([0], [1]))
 
     def test_component_dimensions(self, wine_fit):
         model = wine_fit.model
@@ -73,7 +89,7 @@ class TestNllNonDis:
 
     def test_dimension_mismatch(self, toy_fit):
         with pytest.raises(DimensionMismatch):
-            density.nll_non_dis(toy_fit.model, np.zeros(5))
+            toy_fit.model.non_dis.nll(np.zeros(5))
 
     def test_mode_is_minimum(self, toy_fit):
         comp = toy_fit.model.non_dis
@@ -95,7 +111,7 @@ class TestNllDis:
         rows = gen.normal(size=(40, 1))
         Z = np.hstack([np.vstack([rows, rows]), gen.normal(size=(80, 1))])
         Y = np.array([0] * 40 + [1] * 40)
-        model = density.fit_partition_density(Z, Y, tiny_partition([0], [1]))
+        model = fit_density(Z, Y, tiny_partition([0], [1]))
         z = np.array([0.3])
         assert density.nll_dis(model, z, target=None) == \
             pytest.approx(density.nll_dis(model, z, target=0), abs=1e-12)
@@ -157,7 +173,7 @@ class TestMahalanobis:
         gen = np.random.default_rng(5)
         Z = gen.normal(size=(100, 3))
         Y = gen.integers(0, 2, size=100)
-        scorer = density.MahalanobisScorer.fit(Z, Y)
+        scorer = fit_mahalanobis(Z, Y)
         mean0 = Z[Y == 0].mean(axis=0)
         assert scorer.score(mean0) == pytest.approx(0.0, abs=1e-18)
 
@@ -168,9 +184,10 @@ class TestMahalanobis:
 
     def test_marginal_pools_all_rows_hand_value(self):
         # two point-symmetric classes at x = +-3: pooled mean 0, and pooled
-        # covariance diag(36, 4) / (n - 1) = diag(12, 4/3)
+        # covariance diag(36, 4) / (n - 1) = diag(12, 4/3), all of the x
+        # spread between the classes and all of the y spread within them
         Z = np.array([[3.0, 1.0], [3.0, -1.0], [-3.0, 1.0], [-3.0, -1.0]])
-        scorer = density.MarginalMahalanobisScorer.fit(Z)
+        scorer = fit_marginal(Z, np.array([0, 0, 1, 1]))
         assert np.allclose(scorer.component.mean, [0.0, 0.0], atol=1e-15)
         assert np.allclose(scorer.component.cov, np.diag([12.0, 4.0 / 3.0]),
                            rtol=1e-12)
@@ -185,22 +202,71 @@ class TestMahalanobis:
         Y = gen.integers(0, 2, size=200)
         q = gen.normal(size=3)
         shift = np.array([5.0, -7.0, 11.0])
-        a = density.MahalanobisScorer.fit(Z, Y).score(q)
-        b = density.MahalanobisScorer.fit(Z + shift, Y).score(q + shift)
+        a = fit_mahalanobis(Z, Y).score(q)
+        b = fit_mahalanobis(Z + shift, Y).score(q + shift)
         assert a == pytest.approx(b, abs=1e-8)
-        am = density.MarginalMahalanobisScorer.fit(Z).score(q)
-        bm = density.MarginalMahalanobisScorer.fit(Z + shift).score(q + shift)
+        am = fit_marginal(Z, Y).score(q)
+        bm = fit_marginal(Z + shift, Y).score(q + shift)
         assert am == pytest.approx(bm, abs=1e-8)
 
     def test_min_over_classes(self, toy_fit):
-        scorer = density.MahalanobisScorer.fit(toy_fit.Z_train,
-                                               toy_fit.train.class_label)
+        scorer = density.MahalanobisScorer.fit(toy_fit.model)
         gen = np.random.default_rng(7)
         pts = gen.normal(size=(50, 2)) * 3
         batch = scorer.score(pts)
         for i, z in enumerate(pts):
             per_class = [c.mahalanobis_sq(z) for c in scorer.components]
             assert batch[i] == pytest.approx(min(per_class), rel=1e-12)
+
+
+class TestWhitening:
+    """A row's NLL and Mahalanobis distance come from the same arithmetic
+    whatever batch it sits in."""
+
+    def test_row_alone_in_batch_and_permuted(self, wine_fit, toy_fit):
+        gen = np.random.default_rng(9)
+        models = (wine_fit.model, toy_fit.model)
+        comps = [g for m in models for g in (m.non_dis, *m.dis_per_class, *m.joint_per_class)]
+        for comp in comps:
+            Z = comp.mean + 3.0 * gen.normal(size=(301, comp.dim))
+            nll, maha = comp.nll(Z), comp.mahalanobis_sq(Z)
+            perm = gen.permutation(len(Z))
+            assert np.array_equal(comp.nll(Z[perm]), nll[perm])
+            assert np.array_equal(comp.mahalanobis_sq(Z[perm]), maha[perm])
+            assert np.array_equal(comp.nll(np.asfortranarray(Z)), nll)
+            for i in range(0, len(Z), 23):
+                assert comp.nll(Z[i]) == nll[i]
+                assert comp.mahalanobis_sq(Z[i]) == maha[i]
+                assert comp.nll(Z[i:i + 2])[0] == nll[i]
+
+    def test_matches_a_solve_with_the_covariance(self, wine_fit):
+        gen = np.random.default_rng(10)
+        for comp in wine_fit.model.joint_per_class:
+            D = 2.0 * gen.normal(size=(50, comp.dim))
+            want = np.einsum("ij,ij->i", D, np.linalg.solve(comp.cov, D.T).T)
+            assert np.allclose(comp.mahalanobis_sq(comp.mean + D), want, rtol=1e-9, atol=0)
+
+
+class TestClassMoments:
+    def test_pooled_moments_match_all_rows(self, wine_fit, toy_fit):
+        for fit in (wine_fit, toy_fit):
+            Z, m = fit.Z_train, fit.moments
+            assert np.allclose(m.mean, Z.mean(axis=0), rtol=0, atol=1e-14)
+            assert np.allclose(m.cov, np.cov(Z.T), rtol=1e-12, atol=1e-14)
+
+    def test_mahalanobis_baseline_is_the_joint_model(self, toy_fit):
+        # the baseline's components are what a per-class fit of all latents gives
+        scorer = density.MahalanobisScorer.fit(toy_fit.model)
+        for c, comp in enumerate(scorer.components):
+            rows = toy_fit.Z_train[toy_fit.train.class_label == c]
+            centered = rows - rows.mean(axis=0)
+            assert np.array_equal(comp.mean, rows.mean(axis=0))
+            assert np.array_equal(comp.cov, centered.T @ centered / (len(rows) - 1))
+
+    @pytest.mark.parametrize("labels", [[0, 0, 2, 2], [1, 1, 2, 2], [-1, 0, 0, 1]])
+    def test_labels_must_be_contiguous_from_zero(self, labels):
+        with pytest.raises(DataError):
+            density.class_moments(np.zeros((4, 2)), np.array(labels))
 
 
 class TestRegularization:

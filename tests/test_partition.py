@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodcf import partition
+from oodcf.density import class_moments
 from oodcf.errors import (
     CapExceeded,
     DataError,
@@ -263,7 +264,7 @@ class TestSearchPartition:
 
     def test_four_d_against_independent_oracle(self):
         Z, Y, Ze = four_d_signal_data()
-        result = partition.search_partition(Z, Y, Ze)
+        result = partition.search_partition(class_moments(Z, Y), Ze)
         oracle_subset, oracle_losses = reference_search(Z, Y, Ze)
         assert result.z_d == oracle_subset
         assert set(result.z_d) <= {0, 1}
@@ -272,15 +273,15 @@ class TestSearchPartition:
 
     def test_slack_zero_is_global_argmin(self):
         Z, Y, Ze = four_d_signal_data(seed=1)
-        result = partition.search_partition(Z, Y, Ze, slack=0.0)
+        result = partition.search_partition(class_moments(Z, Y), Ze, slack=0.0)
         losses = [r.normalized for r in result.per_cardinality]
         chosen = [r for r in result.per_cardinality if r.chosen][0]
         assert chosen.normalized == min(losses)
 
     def test_deterministic(self):
         Z, Y, Ze = four_d_signal_data(seed=2)
-        a = partition.search_partition(Z, Y, Ze)
-        b = partition.search_partition(Z, Y, Ze)
+        a = partition.search_partition(class_moments(Z, Y), Ze)
+        b = partition.search_partition(class_moments(Z, Y), Ze)
         assert a.z_d == b.z_d
         assert [r.loss for r in a.per_cardinality] == [r.loss for r in b.per_cardinality]
 
@@ -288,13 +289,13 @@ class TestSearchPartition:
         # the slack rule can only shrink the discriminative set
         for seed in range(4):
             Z, Y, Ze = four_d_signal_data(seed=seed)
-            result = partition.search_partition(Z, Y, Ze)
+            result = partition.search_partition(class_moments(Z, Y), Ze)
             by_norm = min(result.per_cardinality, key=lambda r: r.normalized)
             assert result.chosen_cardinality <= by_norm.cardinality
 
     def test_partition_covers_all_dims(self):
         Z, Y, Ze = four_d_signal_data(seed=3)
-        result = partition.search_partition(Z, Y, Ze)
+        result = partition.search_partition(class_moments(Z, Y), Ze)
         assert sorted(result.z_d + result.z_n) == [0, 1, 2, 3]
         assert set(result.z_d) & set(result.z_n) == set()
         assert 1 <= len(result.z_d) <= 3
@@ -304,22 +305,38 @@ class TestSearchPartition:
         Z = gen.normal(size=(30, 6))
         Y = gen.integers(0, 2, size=30)
         with pytest.raises(CapExceeded):
-            partition.search_partition(Z, Y, Z, cap=5)
+            partition.search_partition(class_moments(Z, Y), Z, cap=5)
 
-    def test_degenerate_normalization_fallback(self, toy_fit):
-        # k=2 has a single cardinality: std is zero, fallback must warn
-        with pytest.warns(DegenerateNormalizationWarning):
-            result = partition.search_partition(
-                toy_fit.Z_train, toy_fit.train.class_label, toy_fit.Z_eval)
+    def test_single_cardinality_is_chosen_silently(self, toy_fit):
+        # k=2 has one cardinality: nothing to normalize against, nothing to warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = partition.search_partition(toy_fit.moments, toy_fit.Z_eval)
         assert result.chosen_cardinality == 1
-        assert result.notes
+        assert result.notes == []
+        (record,) = result.per_cardinality
+        assert (record.normalized, record.within_threshold, record.chosen) == (0.0, True, True)
+        assert result.threshold is None
+
+    def test_degenerate_normalization_fallback(self, monkeypatch):
+        # k=4 with every subset entropy equal: the per-cardinality minima tie
+        Z, Y, Ze = four_d_signal_data()
+        monkeypatch.setattr(partition, "_subset_entropies", lambda means, covs, priors, Ze: [
+            np.full(math.comb(4, c), 0.5) for c in range(5)])
+        with pytest.warns(DegenerateNormalizationWarning):
+            result = partition.search_partition(class_moments(Z, Y), Ze)
+        assert result.chosen_cardinality == 1
+        assert result.z_d == (0,)
+        assert result.notes == [
+            "all per-cardinality minima equal; falling back to smallest cardinality"]
+        assert [r.within_threshold for r in result.per_cardinality] == [True, False, False]
 
     def test_k_below_two(self):
         gen = np.random.default_rng(8)
         with pytest.raises(OutOfRange):
-            partition.search_partition(gen.normal(size=(20, 1)),
-                                       gen.integers(0, 2, 20),
-                                       gen.normal(size=(5, 1)))
+            partition.search_partition(
+                class_moments(gen.normal(size=(20, 1)), gen.integers(0, 2, 20)),
+                gen.normal(size=(5, 1)))
 
 
 class TestMulticlass:
@@ -343,7 +360,7 @@ class TestMulticlass:
 
     def test_three_class_search_runs(self):
         Z, Y, Ze = self.data()
-        result = partition.search_partition(Z, Y, Ze)
+        result = partition.search_partition(class_moments(Z, Y), Ze)
         # dims 0 and 1 carry the class structure; dim 2 is noise
         assert 2 not in result.z_d
         assert sorted(result.z_d + result.z_n) == [0, 1, 2]
@@ -351,7 +368,9 @@ class TestMulticlass:
 
 def per_subset_oracle(Z, Y, Ze):
     """One `fit_qda` + `conditional_entropy` per subset and per complement;
-    returns [(cardinality, best subset, its loss)] with strict-< tie breaking."""
+    returns [(cardinality, best subset, its loss)]. Ties follow the search's
+    rule, the first subset in `combinations` order, where losses within the
+    1e-12 bound of `assert_matches_oracle` of the best count as tied."""
     k = Z.shape[1]
 
     def entropy(cols):
@@ -360,20 +379,18 @@ def per_subset_oracle(Z, Y, Ze):
 
     out = []
     for c in range(1, k):
-        best_sub, best_loss = None, np.inf
+        scored = []
         for sub in combinations(range(k), c):
             comp = tuple(i for i in range(k) if i not in sub)
-            loss = entropy(sub) - entropy(comp)
-            if loss < best_loss:
-                best_sub, best_loss = sub, loss
-        out.append((c, best_sub, best_loss))
+            scored.append((sub, entropy(sub) - entropy(comp)))
+        best = min(loss for _, loss in scored)
+        sub, loss = next((sub, loss) for sub, loss in scored if loss - best <= 1e-12)
+        out.append((c, sub, loss))
     return out
 
 
-def search_quiet(Z, Y, Ze):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateNormalizationWarning)
-        return partition.search_partition(Z, Y, Ze)
+def search(Z, Y, Ze):
+    return partition.search_partition(class_moments(Z, Y), Ze)
 
 
 def assert_matches_oracle(result, oracle):
@@ -405,7 +422,7 @@ class TestBatchedSearchAgainstOracle:
     @given(st.integers(0, 10_000), st.integers(2, 7), st.sampled_from([2, 3]))
     def test_random_tables(self, seed, k, n_classes):
         Z, Y, Ze = mixed_class_data(seed, k, n_classes)
-        assert_matches_oracle(search_quiet(Z, Y, Ze), per_subset_oracle(Z, Y, Ze))
+        assert_matches_oracle(search(Z, Y, Ze), per_subset_oracle(Z, Y, Ze))
 
     def test_duplicate_column_takes_the_ridge_fallback(self, monkeypatch):
         Z, Y, Ze = mixed_class_data(11, 5, 2)
@@ -424,7 +441,7 @@ class TestBatchedSearchAgainstOracle:
             return comp
 
         monkeypatch.setattr(partition.GaussianComponent, "from_moments", classmethod(spy))
-        assert_matches_oracle(search_quiet(Z, Y, Ze), oracle)
+        assert_matches_oracle(search(Z, Y, Ze), oracle)
         assert max(ridges) > 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -434,7 +451,7 @@ class TestBatchedSearchAgainstOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SingularCovariance):
-                partition.search_partition(Z, Y, Ze)
+                partition.search_partition(class_moments(Z, Y), Ze)
 
     def test_overflowing_covariance_raises(self):
         # finite rows whose covariance overflows reach the direct path
@@ -442,20 +459,20 @@ class TestBatchedSearchAgainstOracle:
         Z[5, 2] = 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SingularCovariance):
-                partition.search_partition(Z, Y, Ze)
+                partition.search_partition(class_moments(Z, Y), Ze)
 
     def test_single_class_rejected(self):
         Z, _, Ze = mixed_class_data(13, 3, 2)
         with pytest.raises(DataError):
-            partition.search_partition(Z, np.zeros(Z.shape[0], int), Ze)
+            partition.search_partition(class_moments(Z, np.zeros(Z.shape[0], int)), Ze)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 7), st.sampled_from([2, 3]))
     def test_random_tables_one_subset_per_batch(self, seed, k, n_classes):
         Z, Y, Ze = mixed_class_data(seed, k, n_classes)
-        batched = search_quiet(Z, Y, Ze)
+        batched = search(Z, Y, Ze)
         with mock.patch.object(partition, "_CHUNK", 1):
-            single = search_quiet(Z, Y, Ze)
+            single = search(Z, Y, Ze)
         assert_matches_oracle(single, per_subset_oracle(Z, Y, Ze))
         # a subset's arithmetic does not depend on the batch it shares
         assert single.per_cardinality == batched.per_cardinality
@@ -479,18 +496,33 @@ class TestBatchedSearchAgainstOracle:
             return fit(means, covs, log_priors, Zt, idx)
 
         monkeypatch.setattr(partition, "_direct_entropies", spy)
-        assert_matches_oracle(search_quiet(Z, Y, Ze), oracle)
+        assert_matches_oracle(search(Z, Y, Ze), oracle)
         # exactly the proper subsets holding both 1 and 3 skip the tree
         assert direct == {sub for c in range(2, 5) for sub in combinations(range(5), c)
                           if {1, 3} <= set(sub)}
 
+    def test_direct_entropies_match_per_subset_fit(self):
+        # near-singular subsets scored directly agree with a per-subset QDA fit
+        Z, Y, Ze = mixed_class_data(11, 5, 2)
+        gen = np.random.default_rng(3)
+        Z[:, 3] = Z[:, 1] + 1e-6 * gen.normal(size=len(Z))
+        Ze[:, 3] = Ze[:, 1] + 1e-6 * gen.normal(size=len(Ze))
+        m = class_moments(Z, Y)
+        log_priors = np.log(m.counts / m.counts.sum())
+        for c in (2, 3, 4):
+            idx = np.array([s for s in combinations(range(5), c) if {1, 3} <= set(s)])
+            got = partition._direct_entropies(m.means, m.covs, log_priors, Ze.T, idx)
+            want = [partition.conditional_entropy(partition.fit_qda(Z[:, s], Y), Ze[:, s])
+                    for s in idx]
+            assert np.abs(got - want).max() <= 1e-12
+
     def test_k13_search_memory(self):
         # wine-sized: 104 train rows, 26 eval rows
         Z, Y, Ze = mixed_class_data(15, 13, 2, n=52, n_eval=27)
-        partition.search_partition(Z, Y, Ze)
+        partition.search_partition(class_moments(Z, Y), Ze)
         tracemalloc.start()
         try:
-            partition.search_partition(Z, Y, Ze)
+            partition.search_partition(class_moments(Z, Y), Ze)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,7 +533,7 @@ class TestBatchedSearchAgainstOracle:
         Z, Y, Ze, oracle = k13_case
         assert math.comb(13, 6) > chunk
         monkeypatch.setattr(partition, "_CHUNK", chunk)
-        assert_matches_oracle(partition.search_partition(Z, Y, Ze), oracle)
+        assert_matches_oracle(partition.search_partition(class_moments(Z, Y), Ze), oracle)
 
 
 @pytest.fixture(scope="module")
