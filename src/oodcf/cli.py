@@ -55,10 +55,10 @@ from .density import (
     fit_partition_density,
     ood_scores,
 )
-from .errors import EXIT_CONFIG, CapExceeded, ConfigError, NumericError, OodcfError
+from .errors import EXIT_CONFIG, CapExceeded, ConfigError, NumericError, OodcfError, TooFewDims
 from .partition import Partition, conditional_entropy, fit_qda, search_partition
 from .projection import fit_projection, project, save_projection
-from .report import auroc, evaluate_run, format_table, repeat_and_aggregate
+from .report import auroc, evaluate_run, format_table, repeat_and_aggregate, seed_prefix
 from .svgplot import ScatterPlot
 
 ORDER_NAMES = {"nd": "non_dis_first", "dn": "dis_first"}
@@ -281,8 +281,14 @@ def fit_pipeline(cfg: RunConfig, seed: int) -> PipelineFit:
         raise CapExceeded(
             f"k={k} exceeds the partition-search cap {cfg.cap}; "
             "pass --k to reduce dimensionality or --cap to override")
-    projection = fit_projection(train.features[~train.ood_flag], k,
-                                with_scaling=cfg.with_scaling)
+    rows = np.count_nonzero(~train.ood_flag)
+    # a k taken from the data that the data cannot serve is a data problem
+    if cfg.k == 0 and not 2 <= k < rows:
+        raise TooFewDims(f"the data give k={k} (one latent per feature) and {rows} "
+                         "train rows; the partition search needs 2 <= k < rows")
+    projection = fit_projection(train.features[~train.ood_flag], k, cfg.with_scaling)
+    if cfg.k == 0 and projection.k < 2:
+        raise TooFewDims(f"the features have rank {projection.k}; the partition search needs 2")
     Z_train = project(projection, train.features)
     id_test = test.id_rows()
     Z_eval = project(projection, id_test.features)
@@ -505,45 +511,62 @@ def cmd_toy(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_variant_results(cfg: RunConfig, fit: PipelineFit, variant: str, seed: int):
-    ood_test = fit.test.ood_rows().features
-    # every variant, CFI included, gets the same density-based target per row
-    targets = select_target(fit.model, fit.projection, ood_test)
-    # cfi iterates in the classifier's own space and never writes trajectories
-    record = cfg.emit_trajectories and variant != "cfi"
-    if variant == "cfi":
-        id_train = fit.train.id_rows()
-        classifier = train_softmax_classifier(
-            id_train.features, id_train.class_label, seed=seed)
-        return batch_generate(ood_test, variant="cfi", classifier=classifier,
-                              cfi_cfg=cfg.cfi(), targets=targets, record=record)
-    return batch_generate(ood_test, variant=variant, model=fit.model,
-                          projection=fit.projection, cfg=cfg.generation(),
-                          targets=targets, record=record)
+@dataclass
+class SeedRun:
+    """A seed's fit and what all its variants share."""
+
+    fit: PipelineFit
+    ood: np.ndarray        # the OOD test rows
+    targets: np.ndarray    # their density-based targets, CFI's included
+    id_scores: np.ndarray  # -l_total of the ID test rows
+
+
+def _cfi_results(cfg: RunConfig, runs: dict) -> dict:
+    """(seed, "cfi") -> results, from one lock-step training and one descent;
+    CFI iterates in the classifier's own space and writes no trajectories."""
+    id_train = [run.fit.train.id_rows() for run in runs.values()]
+    classifiers = train_softmax_classifier([(t.features, t.class_label) for t in id_train],
+                                           list(runs))
+    counts = [len(run.ood) for run in runs.values()]
+    results = iter(batch_generate(
+        np.vstack([run.ood for run in runs.values()]), variant="cfi",
+        classifiers=classifiers, classifier_ids=np.repeat(np.arange(len(runs)), counts),
+        cfi_cfg=cfg.cfi(), targets=np.concatenate([run.targets for run in runs.values()]),
+        record=False))
+    return {(seed, "cfi"): list(itertools.islice(results, n))
+            for seed, n in zip(runs, counts)}
 
 
 def cmd_run(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    fits: dict[int, PipelineFit] = {}
+    runs: dict[int, SeedRun] = {}
+    for seed in dict.fromkeys(cfg.seeds):
+        with seed_prefix(seed):
+            fit = fit_pipeline(cfg, seed)
+            ood = fit.test.ood_rows().features
+            ln, ld = ood_scores(fit.model, fit.Z_eval)
+            runs[seed] = SeedRun(fit, ood, select_target(fit.model, fit.projection, ood),
+                                 -(ln + ld))
     results_cache: dict[tuple[int, str], list] = {}
-
-    def pipeline(seed: int) -> PipelineFit:
-        if seed not in fits:
-            fits[seed] = fit_pipeline(cfg, seed)
-        return fits[seed]
 
     approach_names = {"full": "OOD CF", "sg": "OOD SG", "sn": "OOD SN",
                       "sd": "OOD SD", "cfi": "CFI"}
     aggregates = {}
     for variant in cfg.variants:
+        if variant == "cfi":
+            results_cache.update(_cfi_results(cfg, runs))
+
         def run_one(seed, variant=variant):
-            fit = pipeline(seed)
-            results = _run_variant_results(cfg, fit, variant, seed)
-            results_cache[(seed, variant)] = results
-            return evaluate_run(results, fit.test.id_rows().features, fit.model,
-                                fit.projection, approach=approach_names[variant])
+            run = runs[seed]
+            if (seed, variant) not in results_cache:
+                results_cache[seed, variant] = batch_generate(
+                    run.ood, variant=variant, model=run.fit.model,
+                    projection=run.fit.projection, cfg=cfg.generation(),
+                    targets=run.targets, record=cfg.emit_trajectories)
+            return evaluate_run(results_cache[seed, variant], run.id_scores, run.fit.model,
+                                run.fit.projection, approach=approach_names[variant])
 
         aggregates[variant] = repeat_and_aggregate(
             run_one, cfg.seeds, approach=approach_names[variant])
@@ -568,8 +591,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
     print(format_table([aggregates[v].mean for v in cfg.variants]))
 
-    for seed in fits:
-        fit = fits[seed]
+    for seed, run in runs.items():
+        fit = run.fit
         write_partition(out / f"partition_seed{seed}.csv", fit.partition, cfg)
         names = fit.train.feature_names
         header = (["row_id", "variant", "target_class", "error",

@@ -169,12 +169,44 @@ class _NllObjective:
         return f"{self.phase} phase diverged at step {step} (alpha={alpha:g})"
 
 
+@dataclass(frozen=True)
+class _RowClassifiers:
+    """One softmax classifier per row, gathered from a list by index. Every
+    field is a C-contiguous stack, and `take` keeps it one: only then do the
+    row-wise einsums round as one classifier's two-operand ones, whatever
+    rows and classifiers share the batch."""
+
+    mean: np.ndarray     # (n, d) standardizer mean
+    scale: np.ndarray    # (n, d) standardizer scale
+    weights: np.ndarray  # (n, C, d)
+    bias: np.ndarray     # (n, C)
+
+    @classmethod
+    def gather(cls, classifiers, idx) -> "_RowClassifiers":
+        fields = [(c.standardizer.mean, c.standardizer.scale, c.weights, c.bias)
+                  for c in classifiers]
+        return cls(*(np.stack(arrays)[idx] for arrays in zip(*fields)))
+
+    def take(self, mask) -> "_RowClassifiers":
+        return _RowClassifiers(*(a[mask] for a in vars(self).values()))
+
+    def transform(self, X):
+        return (X - self.mean) / self.scale
+
+    def proba(self, U):
+        """Class probabilities of standardized rows U, each under its own classifier."""
+        logits = np.einsum("nj,ncj->nc", U, self.weights) + self.bias
+        logits = logits - logits.max(axis=-1, keepdims=True)
+        p = np.exp(logits)
+        return p / p.sum(axis=-1, keepdims=True)
+
+
 class _CfiObjective:
     """(q_t(u) - p_t)^2 + lambda * ||u - u0||_1, one ISTA step at a time.
 
-    The optimization runs in the classifier's standardized space and the L1
-    term is measured there; the kink is handled by soft-thresholding the
-    displacement toward u0 after each gradient step on the smooth part,
+    The optimization runs in each row's classifier's standardized space and
+    the L1 term is measured there; the kink is handled by soft-thresholding
+    the displacement toward u0 after each gradient step on the smooth part,
     which realizes the zero-subgradient convention at coordinates where
     u = u0 (ISTA, Beck & Teboulle 2009).
     """
@@ -182,29 +214,28 @@ class _CfiObjective:
     proximal = True
     phase = "cfi"
 
-    def __init__(self, classifier: "SoftmaxClassifier", U0, targets, cfg: CfiConfig):
-        self.classifier, self.cfg = classifier, cfg
-        self.shrink = cfg.step_size * cfg.lam
-        self.keep_rows(U0, targets)
+    def __init__(self, classifiers: _RowClassifiers, U0, targets, cfg: CfiConfig):
+        self.cfg, self.shrink = cfg, cfg.step_size * cfg.lam
+        self.keep_rows(classifiers, U0, targets)
 
-    def keep_rows(self, U0, targets):
-        self.U0, self.targets = U0, targets
+    def keep_rows(self, classifiers, U0, targets):
+        self.classifiers, self.U0, self.targets = classifiers, U0, targets
         self.rows = np.arange(len(targets))
-        self.W_target = self.classifier.weights[targets]
+        self.W_target = classifiers.weights[self.rows, targets]
 
     def keep(self, mask):
-        self.keep_rows(self.U0[mask], self.targets[mask])
+        self.keep_rows(self.classifiers.take(mask), self.U0[mask], self.targets[mask])
 
     def loss(self, U):
         """Per-row objective and the class probabilities the next step reuses."""
-        P = self.classifier._proba_u(U)
+        P = self.classifiers.proba(U)
         qt = P[self.rows, self.targets]
         l1 = np.abs(U - self.U0).sum(axis=1)
         return (qt - self.cfg.target_probability) ** 2 + self.cfg.lam * l1, P
 
     def step(self, U, P, alpha):
         qt = P[self.rows, self.targets][:, None]
-        grad_q = qt * (self.W_target - np.einsum("nc,cj->nj", P, self.classifier.weights))
+        grad_q = qt * (self.W_target - np.einsum("nc,ncj->nj", P, self.classifiers.weights))
         g = 2.0 * (qt - self.cfg.target_probability) * grad_q
         d = U - alpha[:, None] * g - self.U0
         d = np.sign(d) * np.maximum(np.abs(d) - self.shrink, 0.0)
@@ -393,15 +424,15 @@ def _density_rows(X, variant, model, projection, cfg, targets, record):
     return outcomes
 
 
-def _cfi_rows(X, classifier, cfg, targets, record):
-    """Run the CFI descent on the rows of X."""
-    U0 = classifier.standardizer.transform(X)
-    run = _descend(U0, _CfiObjective(classifier, U0, targets, cfg), cfg.step_size,
+def _cfi_rows(X, classifiers: _RowClassifiers, cfg, targets, record):
+    """Run the CFI descent on the rows of X, each under its own classifier."""
+    U0 = classifiers.transform(X)
+    run = _descend(U0, _CfiObjective(classifiers, U0, targets, cfg), cfg.step_size,
                    cfg.max_iter, record=record)
     rows = np.arange(X.shape[0])
-    q_before = classifier._proba_u(U0)[rows, targets]
-    q_after = classifier._proba_u(run.U)[rows, targets]
-    delta = (run.U - U0) * classifier.standardizer.scale
+    q_before = classifiers.proba(U0)[rows, targets]
+    q_after = classifiers.proba(run.U)[rows, targets]
+    delta = (run.U - U0) * classifiers.scale
     X_cf = X + delta
     return [run.errors[i] if i in run.errors else CounterfactualResult(
         x_original=X[i], x_counterfactual=X_cf[i], delta=delta[i],
@@ -413,7 +444,8 @@ def _cfi_rows(X, classifier, cfg, targets, record):
 
 
 def _generate_rows(X, variant, model=None, projection=None, cfg=None,
-                   classifier=None, cfi_cfg=None, targets=None, record=True):
+                   classifiers=None, classifier_ids=0, cfi_cfg=None, targets=None,
+                   record=True):
     """Per row of X: its CounterfactualResult, or the OodcfError that ended it.
 
     `targets` overrides the configured target class per row; without either,
@@ -423,8 +455,9 @@ def _generate_rows(X, variant, model=None, projection=None, cfg=None,
         raise OutOfRange(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n, d = X.shape
     if variant == "cfi":
-        fixed, n_classes = cfi_cfg.target_class, classifier.n_classes
-        n_features = classifier.standardizer.n_features
+        row_classifiers = _RowClassifiers.gather(classifiers, np.broadcast_to(classifier_ids, n))
+        fixed = cfi_cfg.target_class
+        _, n_classes, n_features = row_classifiers.weights.shape
     else:
         fixed, n_classes = cfg.target_class, model.n_classes
         n_features = projection.n_features
@@ -436,8 +469,7 @@ def _generate_rows(X, variant, model=None, projection=None, cfg=None,
         if targets is None and fixed is not None:
             targets = np.full(n, fixed)
         elif targets is None and variant == "cfi":
-            U0 = classifier.standardizer.transform(X)
-            targets = np.argmax(classifier._proba_u(U0), axis=1)
+            targets = np.argmax(row_classifiers.proba(row_classifiers.transform(X)), axis=1)
         elif targets is None:
             targets = select_target(model, projection, X)
         targets = np.asarray(targets, dtype=int).reshape(n)
@@ -446,7 +478,7 @@ def _generate_rows(X, variant, model=None, projection=None, cfg=None,
                     for t in targets]
         ok = np.array([i for i in range(n) if outcomes[i] is None], dtype=int)
         if variant == "cfi":
-            done = _cfi_rows(X[ok], classifier, cfi_cfg, targets[ok], record)
+            done = _cfi_rows(X[ok], row_classifiers.take(ok), cfi_cfg, targets[ok], record)
         else:
             done = _density_rows(X[ok], variant, model, projection, cfg, targets[ok],
                                  record)
@@ -488,54 +520,47 @@ class SoftmaxClassifier:
     weights: np.ndarray  # (C, d)
     bias: np.ndarray     # (C,)
 
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
 
-    def _proba_u(self, u: np.ndarray) -> np.ndarray:
-        logits = np.einsum("...j,cj->...c", u, self.weights) + self.bias
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        p = np.exp(logits)
-        return p / p.sum(axis=-1, keepdims=True)
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self._proba_u(self.standardizer.transform(np.asarray(x, dtype=float)))
-
-
-def train_softmax_classifier(features, labels, epochs: int = 500, lr: float = 0.01,
-                             batch_size: int = 128, seed: int = 0) -> SoftmaxClassifier:
-    """Mini-batch SGD on the cross-entropy loss (500 epochs, lr 0.01,
-    batch 128 by default), on standardized features."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=int)
-    std = fit_standardizer(X, with_scaling=True)
-    U = std.transform(X)
-    n, d = U.shape
-    n_classes = int(y.max()) + 1
-    W = np.zeros((n_classes, d))
-    b = np.zeros(n_classes)
-    gen = rng.generator(seed, stream=2)
-    onehot = np.eye(n_classes)[y]
-    for _ in range(epochs):
-        order = rng.permutation(gen, n)
-        # one gather per epoch; each batch is a contiguous view of it
-        U_epoch, Y_epoch = U[order], onehot[order]
-        for start in range(0, n, batch_size):
-            u = U_epoch[start:start + batch_size]
-            logits = u @ W.T + b
-            # a column-wise max: exact in any order, and cheaper than max(axis=1)
-            logits -= reduce(np.maximum, logits.T)[:, None]
-            P = np.exp(logits)
-            P /= P.sum(axis=1, keepdims=True)
-            G = (P - Y_epoch[start:start + batch_size]) / len(u)
-            W -= lr * (G.T @ u)
-            b -= lr * G.sum(axis=0)
-    return SoftmaxClassifier(standardizer=std, weights=W, bias=b)
-
-
-def cfi_generate(x, classifier: SoftmaxClassifier, cfg: CfiConfig) -> CounterfactualResult:
-    """Descend (q_t(x') - p_t)^2 + lambda * ||x' - x||_1 (see `_CfiObjective`)."""
-    return _one_row(x, "cfi", classifier=classifier, cfi_cfg=cfg)
+def train_softmax_classifier(sets, seeds, epochs: int = 500, lr: float = 0.01,
+                             batch_size: int = 128) -> list[SoftmaxClassifier]:
+    """One classifier per (features, labels) set and seed: mini-batch SGD on
+    the cross-entropy loss (500 epochs, lr 0.01, batch 128 by default), on
+    standardized features. The sets share one row and class count, as every
+    seed's train split of a table does, and train in lock step on a leading
+    seed axis: a stacked product is one gemm per seed, so each classifier is
+    bit for bit the one its set and seed train alone."""
+    ys = [np.asarray(y, dtype=int) for _, y in sets]
+    if len(seeds) != len(sets) or len({(np.shape(X), int(y.max()))
+                                       for (X, _), y in zip(sets, ys)}) != 1:
+        raise DimensionMismatch("lock-step training needs one seed per set, and one "
+                                "row and class count")
+    stds = [fit_standardizer(X, with_scaling=True) for X, _ in sets]
+    U = np.stack([std.transform(X) for std, (X, _) in zip(stds, sets)])
+    S, n, d = U.shape
+    n_classes = int(ys[0].max()) + 1
+    W, b = np.zeros((S, n_classes, d)), np.zeros((S, 1, n_classes))
+    gens = [rng.generator(seed, stream=2) for seed in seeds]
+    # seed s's rows start at row s * n of the flattened stacks
+    flat_U, flat_Y = U.reshape(S * n, d), np.eye(n_classes)[np.concatenate(ys)]
+    block = max(1, 2 ** 14 // (S * n))  # epochs per draw: 2^14 uniforms bound the memory
+    for first in range(0, epochs, block):
+        count = min(block, epochs - first)
+        orders = np.stack([rng.permutation(gen, n, count) for gen in gens], axis=1)
+        for order in orders + n * np.arange(S)[:, None]:
+            # one gather per epoch; each batch is a view of it
+            U_epoch, Y_epoch = flat_U[order], flat_Y[order]
+            for start in range(0, n, batch_size):
+                u = U_epoch[:, start:start + batch_size]
+                logits = u @ W.transpose(0, 2, 1) + b
+                # a max one class at a time: exact, and cheaper than max(axis=2)
+                logits -= reduce(np.maximum, logits.T).T[..., None]
+                P = np.exp(logits)
+                P /= np.add.reduce(P, axis=2, keepdims=True)
+                G = (P - Y_epoch[:, start:start + batch_size]) / u.shape[1]
+                W -= lr * (G.transpose(0, 2, 1) @ u)
+                b -= lr * np.add.reduce(G, axis=1, keepdims=True)
+    return [SoftmaxClassifier(standardizer=std, weights=W[s], bias=b[s, 0])
+            for s, std in enumerate(stds)]
 
 
 # -- batch driver ------------------------------------------------------------
@@ -548,21 +573,23 @@ def _failed_result(x, variant, exc) -> CounterfactualResult:
 
 
 def batch_generate(points, variant="full", model=None, projection=None, cfg=None,
-                   classifier=None, cfi_cfg=None, targets=None,
+                   classifiers=None, classifier_ids=0, cfi_cfg=None, targets=None,
                    record=True) -> list[CounterfactualResult]:
     """Generate one counterfactual per row in one batched descent; output
     order matches input order and a failing row is returned flagged instead
     of aborting the batch.
 
-    `targets` (one class id per row) overrides the target class; it gives
-    the CFI baseline the same density-based target rule as the other
-    variants. `record=False` skips the per-step trajectories.
+    CFI descends row i under `classifiers[classifier_ids[i]]` (a single id
+    serves every row), so one call serves every seed. `targets`
+    (one class id per row) overrides the target class; it gives the CFI
+    baseline the same density-based target rule as the other variants.
+    `record=False` skips the per-step trajectories.
     """
     X = np.array(points, dtype=float, ndmin=2)
     if X.size == 0:
         return []
     outcomes = _generate_rows(X, variant, model=model, projection=projection, cfg=cfg,
-                              classifier=classifier, cfi_cfg=cfi_cfg, targets=targets,
-                              record=record)
+                              classifiers=classifiers, classifier_ids=classifier_ids,
+                              cfi_cfg=cfi_cfg, targets=targets, record=record)
     return [_failed_result(x, variant, out) if isinstance(out, OodcfError) else out
             for x, out in zip(X, outcomes)]

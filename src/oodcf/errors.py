@@ -48,6 +48,10 @@ class TooFewRows(DataError):
     """Not enough rows to fit the requested model."""
 
 
+class TooFewDims(DataError):
+    """Features, rows or rank give fewer latent dims than the partition search needs."""
+
+
 class DimensionMismatch(DataError):
     """Input vector/matrix dimension does not match the fitted model."""
 

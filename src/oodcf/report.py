@@ -7,6 +7,7 @@ reported in raw feature units.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,28 +61,26 @@ class EvalRow:
     n_seeds: int = 1
 
 
-def evaluate_run(counterfactuals: list[CounterfactualResult], id_test_features,
+def evaluate_run(counterfactuals: list[CounterfactualResult], id_scores,
                  model: PartitionDensityModel, projection: ProjectionModel,
                  approach: str = "OOD CF") -> EvalRow:
     """Metrics of a batch of counterfactuals against held-out ID data.
 
     Non-dis and Dis are mean per-partition NLLs of the counterfactual
     latents (Dis in scoring mode, min over classes); AUROC uses -l_total
-    with ID test rows as positives and the counterfactuals as negatives.
+    with the ID test rows' `id_scores` as positives and the counterfactuals
+    as negatives.
     Rows whose generation failed are excluded.
     """
     ok = [r for r in counterfactuals if not r.failed]
     if not ok:
         raise EmptyInput("no successfully generated counterfactuals to evaluate")
-    id_test = np.atleast_2d(np.asarray(id_test_features, dtype=float))
-    if id_test.shape[0] == 0:
+    score_pos = np.asarray(id_scores, dtype=float).ravel()
+    if score_pos.size == 0:
         raise EmptyInput("need at least one ID test row")
 
     X_cf = np.vstack([r.x_counterfactual for r in ok])
     ln_cf, ld_cf = ood_scores(model, project(projection, X_cf))
-
-    ln_id, ld_id = ood_scores(model, project(projection, id_test))
-    score_pos = -(ln_id + ld_id)
     score_neg = -(ln_cf + ld_cf)
 
     l1_mean = float(np.mean([l1_distance(r.x_original, r.x_counterfactual) for r in ok]))
@@ -101,6 +100,16 @@ class AggregateResult:
     std: dict
 
 
+@contextmanager
+def seed_prefix(seed: int):
+    """Prefix the message of an exception raised inside with `seed S: `."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"seed {seed}: {exc}",)
+        raise
+
+
 def repeat_and_aggregate(run_fn, seeds: list[int],
                          approach: str | None = None) -> AggregateResult:
     """Run `run_fn(seed)` for each seed and average each metric; per-seed
@@ -112,12 +121,8 @@ def repeat_and_aggregate(run_fn, seeds: list[int],
         raise EmptyInput("need at least one seed")
     per_seed = []
     for seed in seeds:
-        try:
-            row = run_fn(seed)
-        except Exception as exc:
-            exc.args = (f"seed {seed}: {exc}",)
-            raise
-        per_seed.append((seed, row))
+        with seed_prefix(seed):
+            per_seed.append((seed, run_fn(seed)))
     name = approach if approach is not None else per_seed[0][1].approach
     fields = ("non_dis", "dis", "l1", "auroc")
     values = {f: np.array([getattr(row, f) for _, row in per_seed]) for f in fields}

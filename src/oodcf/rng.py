@@ -42,17 +42,18 @@ def normal(gen: np.random.Generator, mean, std, size: tuple[int, int]) -> np.nda
     return np.asarray(mean) + std * g
 
 
-def permutation(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Deterministic permutation of range(n): stable argsort of uniforms.
+def permutation(gen: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """Deterministic permutation of range(n): stable argsort of uniforms;
+    with `count`, the (count, n) rows of `count` successive single draws.
 
     Depends only on the uniform stream, not on any shuffling algorithm
     internal to numpy. Distinct keys have one sorted order, so numpy's
-    faster default sort gives the stable order unless two uniforms tie;
-    only then is the stable sort run.
+    faster default sort gives the stable order unless two uniforms of a row
+    tie; only then is that row sorted stably.
     """
-    u = gen.random(n)
-    order = np.argsort(u)
-    s = u[order]
-    if (s[1:] == s[:-1]).any():
-        return np.argsort(u, kind="stable")
+    u = gen.random(n if count is None else (count, n))
+    order = np.argsort(u, axis=-1)
+    s = np.take_along_axis(u, order, axis=-1).reshape(-1, n)
+    for i in np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1)):
+        order.reshape(-1, n)[i] = np.argsort(u.reshape(-1, n)[i], kind="stable")  # a view
     return order

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodcf import dataset, density, partition, projection
+from oodcf import counterfactual, dataset, density, partition, projection
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WINE_LIKE = DATA_DIR / "wine_like.csv"
@@ -49,6 +49,27 @@ def _fit(train, test, proj, Z_train, Z_eval) -> FittedToy:
     model = density.fit_partition_density(Z_train, train.class_label, moments, part)
     return FittedToy(train=train, test=test, projection=proj, part=part, moments=moments,
                      model=model, Z_train=Z_train, Z_eval=Z_eval)
+
+
+def id_scores(fit: FittedToy) -> np.ndarray:
+    """-l_total of the fit's ID test rows: the AUROC positives of
+    `report.evaluate_run`."""
+    ln, ld = density.ood_scores(fit.model, fit.Z_eval)
+    return -(ln + ld)
+
+
+def predict_proba(classifier, X) -> np.ndarray:
+    """Class probabilities of raw rows (or one row) by a matmul softmax."""
+    U = classifier.standardizer.transform(np.asarray(X, dtype=float))
+    logits = U @ classifier.weights.T + classifier.bias
+    P = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return P / P.sum(axis=-1, keepdims=True)
+
+
+def cfi_one(x, classifier, cfg):
+    """One row's CFI counterfactual through the batch engine."""
+    return counterfactual.batch_generate(x, variant="cfi", classifiers=[classifier],
+                                         cfi_cfg=cfg)[0]
 
 
 @pytest.fixture(scope="session")

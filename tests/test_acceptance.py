@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fit_toy
+from conftest import cfi_one, fit_toy, id_scores, predict_proba
 from oodcf import (cli, counterfactual, dataset, density, partition,
                    projection, report)
 from oodcf.counterfactual import CfiConfig, GenerationConfig
@@ -225,13 +225,12 @@ def test_criterion_08_ablation_ordering():
     totals = {v: [] for v in ("full", "sg", "sn", "sd")}
     for seed in SEEDS:
         fit = fit_toy(seed=seed, n_per_class=500, n_ood=200)
-        id_test = fit.test.id_rows().features
         ood = fit.test.ood_rows().features
         for variant in totals:
             results = counterfactual.batch_generate(
                 ood, variant=variant, model=fit.model,
                 projection=fit.projection, cfg=cfg)
-            row = report.evaluate_run(results, id_test, fit.model, fit.projection)
+            row = report.evaluate_run(results, id_scores(fit), fit.model, fit.projection)
             totals[variant].append(row.auroc)
     means = {v: float(np.mean(scores)) for v, scores in totals.items()}
     ok = all(means["full"] <= means[v] for v in ("sg", "sn", "sd"))
@@ -266,17 +265,16 @@ def test_criterion_09_tabular_end_to_end(tmp_path, capsys):
 def test_criterion_10_cfi_crossing_and_l1_monotonicity():
     fit = fit_toy(seed=0, n_per_class=500, n_ood=200)
     id_train = fit.train.id_rows()
-    clf = counterfactual.train_softmax_classifier(
-        id_train.features, id_train.class_label, seed=0)
+    [clf] = counterfactual.train_softmax_classifier(
+        [(id_train.features, id_train.class_label)], [0])
     ood = fit.test.ood_rows().features
     targets = [counterfactual.select_target(fit.model, fit.projection, x)
                for x in ood]
 
     def run(lam):
-        results = [counterfactual.cfi_generate(
-            x, clf, CfiConfig(lam=lam, target_class=t))
-            for x, t in zip(ood, targets)]
-        crossed = np.mean([clf.predict_proba(r.x_counterfactual)[t] >= 0.5
+        results = [cfi_one(x, clf, CfiConfig(lam=lam, target_class=t))
+                   for x, t in zip(ood, targets)]
+        crossed = np.mean([predict_proba(clf, r.x_counterfactual)[t] >= 0.5
                            for r, t in zip(results, targets)])
         l1 = np.mean([report.l1_distance(r.x_original, r.x_counterfactual)
                       for r in results])

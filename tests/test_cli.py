@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from oodcf import cli
 from oodcf.counterfactual import batch_generate, train_softmax_classifier
 from oodcf.dataset import OodRule
 from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
-from oodcf.errors import ConfigError
+from oodcf.errors import ConfigError, RankDeficientWarning
 from oodcf.projection import project
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -368,6 +369,54 @@ class TestBadInputExitCodes:
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+def _table(header, rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(map(str, r)) for r in rows]) + "\n"
+
+
+_gen = np.random.default_rng(4)
+_f1 = np.round(_gen.normal(size=45), 6) + np.repeat([0.0, 3.0, 6.0], [20, 20, 5])
+SHAPE_TABLES = {
+    # no feature at all: the data give k = 0
+    "label_only": (_table(["target"], [[c] for c in [0] * 10 + [1] * 10 + [2] * 4]),
+                   "TooFewDims"),
+    # 6 features, but a train split of 2 + 2 rows
+    "few_rows": (_table([f"f{j}" for j in range(6)] + ["target"],
+                        [[*np.round(_gen.normal(size=6), 6), c]
+                         for c in [0, 0, 0, 1, 1, 1, 2, 2]]), "TooFewDims"),
+    # two features, one twice the other: numerical rank 1
+    "rank_one": (_table(["f1", "f2", "target"],
+                        [[v, 2 * v, c] for v, c in zip(_f1, [0] * 20 + [1] * 20 + [2] * 5)]),
+                 "TooFewDims"),
+}
+
+
+class TestDataShapeExitCodes:
+    """A table that cannot give the latent dims taken from it is a data
+    problem (exit 3); an explicit --k it cannot serve stays a setting (2)."""
+
+    def run_table(self, tmp_path, command, table, extra=()):
+        data = tmp_path / "t.csv"
+        data.write_text(SHAPE_TABLES[table][0], encoding="utf-8")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficientWarning)
+            code = run_cli([command, "--data", data, "--label-col", "target",
+                            "--ood-rule", "class_equals:2", "--out", out, *extra])
+        return code, json.loads((out / "error.json").read_text())
+
+    @pytest.mark.parametrize("command", ["run", "score", "partition"])
+    @pytest.mark.parametrize("table", sorted(SHAPE_TABLES))
+    def test_data_shape_exits_3(self, tmp_path, capsys, command, table):
+        code, record = self.run_table(tmp_path, command, table)
+        assert code == 3 and record["exit_code"] == 3
+        assert record["error"] == SHAPE_TABLES[table][1]
+
+    @pytest.mark.parametrize("table, k", [("few_rows", "6"), ("rank_one", "2")])
+    def test_explicit_k_stays_a_setting(self, tmp_path, capsys, table, k):
+        code, record = self.run_table(tmp_path, "partition", table, ["--k", k])
+        assert code == 2 and record["exit_code"] == 2
+
+
 class TestConfigFile:
     def test_file_plus_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.ini"
@@ -528,9 +577,9 @@ class TestTrajRowsAgainstOracle:
         cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
         fit = cli.fit_pipeline(cfg, 0)
         ood = fit.test.ood_rows().features
-        clf = train_softmax_classifier(fit.train.features[:50],
-                                       fit.train.class_label[:50], epochs=1)
-        cfi = batch_generate(ood, variant="cfi", classifier=clf,
+        clf = train_softmax_classifier(
+            [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
+        cfi = batch_generate(ood, variant="cfi", classifiers=clf,
                              cfi_cfg=cfg.cfi(), record=False)
         failed = batch_generate(ood, model=fit.model, projection=fit.projection,
                                 cfg=cfg.generation(), targets=np.full(len(ood), 9))
@@ -690,11 +739,11 @@ def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
     fit = cli.fit_pipeline(cfg, 0)
     ood = fit.test.ood_rows().features
     targets = np.where(np.arange(len(ood)) % 3 == 0, 5, np.arange(len(ood)) % 2)
-    clf = train_softmax_classifier(fit.train.features[:50], fit.train.class_label[:50],
-                                   epochs=1)
+    clf = train_softmax_classifier(
+        [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
     runs = [("OOD CF", batch_generate(ood, model=fit.model, projection=fit.projection,
                                       cfg=cfg.generation(), targets=targets)),
-            ("CFI", batch_generate(ood, variant="cfi", classifier=clf,
+            ("CFI", batch_generate(ood, variant="cfi", classifiers=clf,
                                    cfi_cfg=cfg.cfi(), targets=targets, record=False)),
             ("empty", [])]
     assert any(r.failed for r in runs[0][1]) and not all(r.failed for r in runs[0][1])

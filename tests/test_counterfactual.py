@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import WINE_LIKE, fit_toy, fit_wine
+from conftest import WINE_LIKE, cfi_one, fit_toy, fit_wine, predict_proba
 
 from oodcf import counterfactual, dataset, projection, rng
 from oodcf.counterfactual import ORDERS, VARIANTS, CfiConfig, GenerationConfig, PhaseTrace
@@ -209,9 +209,7 @@ class TestAblations:
 
 @pytest.fixture(scope="module")
 def toy_classifier(toy_fit):
-    id_train = toy_fit.train.id_rows()
-    return counterfactual.train_softmax_classifier(
-        id_train.features, id_train.class_label, seed=0)
+    return _classifier(toy_fit)
 
 
 class TestCfi:
@@ -221,33 +219,28 @@ class TestCfi:
         # the limiting behavior needs a longer budget than the default
         for x in toy_ood[:30]:
             t = counterfactual.select_target(toy_fit.model, toy_fit.projection, x)
-            res = counterfactual.cfi_generate(
+            res = cfi_one(
                 x, toy_classifier,
                 CfiConfig(lam=0.0, target_class=t, step_size=0.2, max_iter=2000))
-            assert toy_classifier.predict_proba(res.x_counterfactual)[t] >= 0.99
+            assert predict_proba(toy_classifier, res.x_counterfactual)[t] >= 0.99
 
     def test_huge_lambda_freezes_point(self, toy_ood, toy_classifier):
-        res = counterfactual.cfi_generate(
-            toy_ood[0], toy_classifier, CfiConfig(lam=1e6))
+        res = cfi_one(toy_ood[0], toy_classifier, CfiConfig(lam=1e6))
         assert np.allclose(res.delta, 0.0)
 
     def test_objective_never_diverges(self, toy_ood, toy_classifier):
         for x in toy_ood[:20]:
-            res = counterfactual.cfi_generate(x, toy_classifier, CfiConfig())
+            res = cfi_one(x, toy_classifier, CfiConfig())
             assert np.isfinite(res.losses_after["objective"])
 
     def test_classifier_training_deterministic(self, toy_fit):
-        id_train = toy_fit.train.id_rows()
-        a = counterfactual.train_softmax_classifier(
-            id_train.features, id_train.class_label, seed=3)
-        b = counterfactual.train_softmax_classifier(
-            id_train.features, id_train.class_label, seed=3)
+        a, b = _classifier(toy_fit, seed=3), _classifier(toy_fit, seed=3)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
     def test_classifier_separates_toy(self, toy_fit, toy_classifier):
         id_test = toy_fit.test.id_rows()
-        proba = toy_classifier.predict_proba(id_test.features)
+        proba = predict_proba(toy_classifier, id_test.features)
         accuracy = (np.argmax(proba, axis=1) == id_test.class_label).mean()
         assert accuracy > 0.99
 
@@ -278,40 +271,138 @@ def _oracle_train(features, labels, epochs=500, lr=0.01, batch_size=128, seed=0)
     return W, b
 
 
-def _train_id_rows(kind, seed):
-    """ID rows of the train split the `run` command trains CFI on."""
+def _split(kind, seed):
+    """The train and test splits of the toy or wine `run` at a seed."""
     if kind == "toy":
         ds = dataset.make_toy(1000, 500, seed)
     else:
         table = dataset.load_csv(WINE_LIKE, "target")
         ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=2))
-    train, _ = dataset.split(ds, dataset.SplitSpec(0.8, seed))
-    return train.id_rows()
+    return dataset.split(ds, dataset.SplitSpec(0.8, seed))
+
+
+def _train_id_rows(kind, seed):
+    """ID rows of the train split the `run` command trains CFI on."""
+    return _split(kind, seed)[0].id_rows()
+
+
+_STACKS = {}
+
+
+def _seed_stack(kind):
+    """The classifiers of seeds 0-4 trained in one lock-step stack, as `run` does."""
+    if kind not in _STACKS:
+        rows = [_train_id_rows(kind, seed) for seed in range(5)]
+        _STACKS[kind] = rows, counterfactual.train_softmax_classifier(
+            [(r.features, r.class_label) for r in rows], list(range(5)))
+    return _STACKS[kind]
 
 
 class TestTrainerAgainstOracle:
-    """Per-epoch gathers and a column-wise max leave every weight bit-equal."""
+    """Per-epoch gathers, a class-wise max and lock-step seeds leave every
+    weight bit-equal to the per-seed oracle."""
 
     @pytest.mark.parametrize("kind,seed", [(k, s) for k in ("toy", "wine")
                                            for s in range(5)])
     def test_bit_equal_on_pipeline_data(self, kind, seed):
-        rows = _train_id_rows(kind, seed)
-        clf = counterfactual.train_softmax_classifier(
-            rows.features, rows.class_label, seed=seed)
-        W, b = _oracle_train(rows.features, rows.class_label, seed=seed)
-        assert np.array_equal(clf.weights, W)
-        assert np.array_equal(clf.bias, b)
+        rows, classifiers = _seed_stack(kind)
+        W, b = _oracle_train(rows[seed].features, rows[seed].class_label, seed=seed)
+        assert np.array_equal(classifiers[seed].weights, W)
+        assert np.array_equal(classifiers[seed].bias, b)
 
     def test_bit_equal_three_classes_short_last_batch(self):
         gen = np.random.default_rng(5)
         y = np.repeat([0, 1, 2], [100, 120, 87])
-        X = gen.normal(size=(y.size, 4)) + 1.5 * y[:, None] * np.array([1.0, -1.0, 0.5, 0.0])
+        shift = 1.5 * y[:, None] * np.array([1.0, -1.0, 0.5, 0.0])
+        Xs = [gen.normal(size=(y.size, 4)) + shift for _ in range(3)]
         assert y.size % 128 != 0
-        clf = counterfactual.train_softmax_classifier(X, y, epochs=60, seed=2)
-        W, b = _oracle_train(X, y, epochs=60, seed=2)
-        assert clf.weights.shape == (3, 4)
-        assert np.array_equal(clf.weights, W)
-        assert np.array_equal(clf.bias, b)
+        classifiers = counterfactual.train_softmax_classifier(
+            [(X, y) for X in Xs], [2, 7, 2], epochs=60)
+        for X, seed, clf in zip(Xs, [2, 7, 2], classifiers):
+            W, b = _oracle_train(X, y, epochs=60, seed=seed)
+            assert clf.weights.shape == (3, 4)
+            assert np.array_equal(clf.weights, W)
+            assert np.array_equal(clf.bias, b)
+
+    def test_sets_of_different_sizes_are_rejected(self):
+        X, y = np.random.default_rng(0).normal(size=(10, 2)), np.arange(10) % 2
+        with pytest.raises(DimensionMismatch):
+            counterfactual.train_softmax_classifier([(X, y), (X[:8], y[:8])], [0, 1])
+
+
+def _cfi_batch(classifiers, X, ids, targets, cfg=None):
+    return counterfactual.batch_generate(
+        X, variant="cfi", classifiers=classifiers, classifier_ids=ids,
+        cfi_cfg=cfg or CfiConfig(), targets=targets, record=False)
+
+
+class TestLockStepDescent:
+    """Every seed's CFI rows descend in one batch, each row under its own
+    seed's classifier, with the bits of a per-seed or one-row descent."""
+
+    @pytest.mark.parametrize("kind", ["toy", "wine"])
+    def test_row_alone_in_its_seed_and_in_all_seeds(self, kind):
+        _, classifiers = _seed_stack(kind)
+        oods = [_split(kind, seed)[1].ood_rows().features[:40] for seed in range(5)]
+        targets = [np.arange(len(X)) % 2 for X in oods]
+        everything = _cfi_batch(classifiers, np.vstack(oods),
+                                np.repeat(np.arange(5), [len(X) for X in oods]),
+                                np.concatenate(targets))
+        start = 0
+        for s, (X, t) in enumerate(zip(oods, targets)):
+            own = _cfi_batch(classifiers, X, np.full(len(X), s), t)
+            for i in range(len(X)):
+                # alone: its seed's classifier as the one-item list
+                alone = (_cfi_batch([classifiers[s]], X[i], 0, t[i:i + 1])[0]
+                         if i % 13 == 0 else own[i])
+                for res in (own[i], everything[start + i]):
+                    assert np.array_equal(res.x_counterfactual, alone.x_counterfactual)
+                    assert res.steps_taken == alone.steps_taken
+                    assert res.losses_after == alone.losses_after
+            start += len(X)
+
+    def test_row_stacks_stay_c_contiguous(self, monkeypatch):
+        kept = []
+        keep_rows = counterfactual._CfiObjective.keep_rows
+
+        def checked(self, classifiers, U0, targets):
+            kept.append([a.flags.c_contiguous for a in vars(classifiers).values()])
+            keep_rows(self, classifiers, U0, targets)
+
+        monkeypatch.setattr(counterfactual._CfiObjective, "keep_rows", checked)
+        _, classifiers = _seed_stack("toy")
+        X = np.vstack([_split("toy", seed)[1].ood_rows().features[:60] for seed in range(5)])
+        # at lambda = 1 rows stop moving at many different steps, and a huge
+        # row diverges
+        X[7] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = _cfi_batch(classifiers, X, np.arange(len(X)) % 5,
+                                 np.arange(len(X)) % 2, CfiConfig(lam=1.0))
+        assert results[7].failed
+        assert len({r.steps_taken.get("cfi") for r in results}) > 20
+        assert len(kept) > 5 and all(all(flags) for flags in kept)
+
+
+class TestCfiGradient:
+    """At lambda = 0 a CFI step is a plain gradient step on (q_t - p_t)^2, so
+    U - step(U, P, 1) is its gradient."""
+
+    @pytest.mark.parametrize("kind", ["toy", "wine"])
+    def test_smooth_step_matches_central_differences(self, kind):
+        _, classifiers = _seed_stack(kind)
+        X = _split(kind, 0)[1].ood_rows().features[:40]
+        rows = counterfactual._RowClassifiers.gather(classifiers, np.arange(len(X)) % 5)
+        U = rows.transform(X)
+        objective = counterfactual._CfiObjective(rows, U, np.arange(len(X)) % 2,
+                                                 CfiConfig(lam=0.0))
+        grad = U - objective.step(U, objective.loss(U)[1], np.ones(len(U)))
+        h, fd = 1e-6, np.empty_like(U)
+        for j in range(U.shape[1]):
+            E = np.zeros_like(U)
+            E[:, j] = h
+            fd[:, j] = (objective.loss(U + E)[0] - objective.loss(U - E)[0]) / (2 * h)
+        rel = np.linalg.norm(grad - fd, axis=1) / np.linalg.norm(fd, axis=1)
+        assert rel.max() <= 1e-6
 
 
 # -- per-row oracle: the descent loops as they ran before the batched engine --
@@ -453,13 +544,14 @@ def _assert_matches_oracle(res, oracle):
 
 def _classifier(fit, seed=0):
     id_train = fit.train.id_rows()
-    return counterfactual.train_softmax_classifier(
-        id_train.features, id_train.class_label, seed=seed)
+    [clf] = counterfactual.train_softmax_classifier(
+        [(id_train.features, id_train.class_label)], [seed])
+    return clf
 
 
 def _variant_kwargs(fit, variant, classifier, cfg=None, cfi_cfg=None):
     if variant == "cfi":
-        return {"classifier": classifier, "cfi_cfg": cfi_cfg or CfiConfig()}
+        return {"classifiers": [classifier], "cfi_cfg": cfi_cfg or CfiConfig()}
     return {"model": fit.model, "projection": fit.projection,
             "cfg": cfg or GenerationConfig()}
 
@@ -489,7 +581,7 @@ class TestEngineAgainstOracle:
                         x, fit.model, fit.projection, cfg, variant, t))
         clf = _classifier(fit, seed)
         results = counterfactual.batch_generate(
-            ood, variant="cfi", classifier=clf, cfi_cfg=CfiConfig(), targets=targets)
+            ood, variant="cfi", classifiers=[clf], cfi_cfg=CfiConfig(), targets=targets)
         for x, t, res in zip(ood, targets, results):
             _assert_matches_oracle(res, _oracle_cfi(x, clf, CfiConfig(), t))
 
@@ -525,7 +617,7 @@ class TestBatch:
             batch = counterfactual.batch_generate(toy_ood[:10], variant=variant, **kwargs)
             for x, res in zip(toy_ood[:10], batch):
                 if variant == "cfi":
-                    single = counterfactual.cfi_generate(x, toy_classifier, CfiConfig())
+                    single = cfi_one(x, toy_classifier, CfiConfig())
                 elif variant == "full":
                     single = counterfactual.generate(x, toy_fit.model,
                                                      toy_fit.projection, kwargs["cfg"])
@@ -603,7 +695,7 @@ class TestBatch:
         with pytest.raises(NonFiniteLoss) as info, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's own
             if variant == "cfi":
-                t = int(np.argmax(toy_classifier.predict_proba(bad)))
+                t = int(np.argmax(predict_proba(toy_classifier, bad)))
                 _oracle_cfi(bad, toy_classifier, CfiConfig(), t)
             else:
                 t = counterfactual.select_target(toy_fit.model, toy_fit.projection, bad)

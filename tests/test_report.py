@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import id_scores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,14 +190,13 @@ def fake_results(points):
 class TestEvaluateRun:
     def test_counterfactuals_equal_to_id_test_score_half(self, toy_fit):
         id_test = toy_fit.test.id_rows().features
-        row = report.evaluate_run(fake_results(id_test), id_test,
+        row = report.evaluate_run(fake_results(id_test), id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection)
         assert row.auroc == pytest.approx(0.5, abs=1e-12)
         assert row.l1 == 0.0
 
     def test_untouched_ood_remains_detectable(self, toy_fit, toy_ood):
-        id_test = toy_fit.test.id_rows().features
-        row = report.evaluate_run(fake_results(toy_ood), id_test,
+        row = report.evaluate_run(fake_results(toy_ood), id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection)
         assert row.auroc >= 0.99
 
@@ -205,7 +205,7 @@ class TestEvaluateRun:
         results = counterfactual.batch_generate(
             toy_ood[:20], variant="full", model=toy_fit.model,
             projection=toy_fit.projection, cfg=cfg)
-        row = report.evaluate_run(results, toy_fit.test.id_rows().features,
+        row = report.evaluate_run(results, id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection,
                                   approach="OOD CF")
         assert row.approach == "OOD CF"
@@ -220,7 +220,7 @@ class TestEvaluateRun:
             delta=np.zeros(2), trajectories=[], losses_before={},
             losses_after={}, steps_taken={}, variant="full",
             target_class=None, error="NonFiniteLoss: boom"))
-        row = report.evaluate_run(results, toy_fit.test.id_rows().features,
+        row = report.evaluate_run(results, id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection)
         assert np.isfinite(row.l1)
 
@@ -231,7 +231,7 @@ class TestEvaluateRun:
             losses_after={}, steps_taken={}, variant="full",
             target_class=None, error="boom")
         with pytest.raises(EmptyInput):
-            report.evaluate_run([bad], toy_fit.test.id_rows().features,
+            report.evaluate_run([bad], id_scores(toy_fit),
                                 toy_fit.model, toy_fit.projection)
 
 

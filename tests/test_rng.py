@@ -58,13 +58,16 @@ def test_permutation_is_stable_argsort_of_uniforms(n):
 
 
 class _TiedUniforms:
-    """A generator stub whose uniforms repeat, so the sort meets ties."""
+    """A generator stub whose uniforms repeat, so the sort meets ties; like
+    Philox, successive draws continue one stream."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.used = u, 0
 
-    def random(self, n):
-        return self.u[:n].copy()
+    def random(self, shape):
+        size = int(np.prod(shape))
+        self.used += size
+        return self.u[self.used - size:self.used].reshape(shape).copy()
 
 
 @pytest.mark.parametrize("levels", [2, 10, 1000])
@@ -72,3 +75,21 @@ def test_permutation_breaks_ties_stably(levels):
     u = np.random.default_rng(levels).integers(0, levels, 5000) / levels
     assert np.array_equal(rng.permutation(_TiedUniforms(u), u.size),
                           np.argsort(u, kind="stable"))
+
+
+@pytest.mark.parametrize("n, count", [(1, 3), (103, 31), (1600, 10)])
+def test_multi_epoch_draw_equals_successive_single_draws(n, count):
+    gen = rng.generator(2, stream=2)
+    singles = [rng.permutation(gen, n) for _ in range(count)]
+    assert np.array_equal(rng.permutation(rng.generator(2, stream=2), n, count), singles)
+
+
+def test_multi_epoch_draw_sorts_a_tied_row_stably():
+    n, count = 200, 4
+    u = np.random.default_rng(3).random(n * count)
+    u[2 * n:3 * n] = np.round(u[2 * n:3 * n] * 5) / 5  # row 2: six values, many ties
+    block = rng.permutation(_TiedUniforms(u), n, count)
+    stub = _TiedUniforms(u)
+    assert np.array_equal(block, [rng.permutation(stub, n) for _ in range(count)])
+    for i in range(count):
+        assert np.array_equal(block[i], np.argsort(u[i * n:(i + 1) * n], kind="stable"))
