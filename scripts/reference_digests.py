@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Run the reference CLI commands and print the sha256 of every output file.
+"""Run the reference CLI commands and print the sha256 of every output file
+and of every command's stdout.
 
-Each command writes into its own fixed directory under OUTROOT, and one
+Each command writes into its own fixed directory under OUTROOT. One
 `sha256  path` line is printed per file, with the path relative to OUTROOT,
-in sorted order. Every output file embeds the resolved config, `--out`
-included, so two checkouts compare equal only when both are run with the
-same OUTROOT string: run one, save its lines, clear OUTROOT, run the other,
-and diff. The commands run from the repository root on the `src/` next to
-this script, one interpreter each, with single-threaded BLAS.
+and one `sha256  NAME/stdout` line per command, all sorted by path. Every
+output file embeds the resolved config, `--out` included, and `score`
+prints its output path, so two checkouts compare equal only when both are
+run with the same OUTROOT string: run one, save its lines, clear OUTROOT,
+run the other, and diff. The commands run from the repository root on the
+`src/` next to this script, one interpreter each, with single-threaded BLAS.
 
 Usage: python scripts/reference_digests.py OUTROOT
 """
@@ -39,15 +41,18 @@ COMMANDS = (
 def run_all(outroot: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    digests = {}
     for name, argv in COMMANDS:
         cmd = [sys.executable, "-m", "oodcf.cli", *argv, "--out", str(outroot / name)]
-        done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
+        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True)
         if done.returncode != 0:
-            raise SystemExit(f"{name}: exit {done.returncode}\n{done.stderr}")
-    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
-            f"{path.relative_to(outroot).as_posix()}"
-            for path in sorted(outroot.rglob("*")) if path.is_file()]
+            raise SystemExit(f"{name}: exit {done.returncode}\n{done.stderr.decode()}")
+        digests[f"{name}/stdout"] = hashlib.sha256(done.stdout).hexdigest()
+    for path in outroot.rglob("*"):
+        if path.is_file():
+            digests[path.relative_to(outroot).as_posix()] = \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+    return [f"{digests[name]}  {name}" for name in sorted(digests)]
 
 
 if __name__ == "__main__":

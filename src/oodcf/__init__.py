@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .dataset import LabeledDataset, OodRule, RawTable, SplitSpec  # noqa: F401
 from .projection import ProjectionModel, Standardizer  # noqa: F401
-from .partition import Partition, QdaModel  # noqa: F401
+from .partition import Partition  # noqa: F401
 from .density import GaussianComponent, PartitionDensityModel  # noqa: F401
 from .counterfactual import (  # noqa: F401
     CfiConfig,

@@ -56,8 +56,8 @@ from .density import (
     ood_scores,
 )
 from .errors import EXIT_CONFIG, CapExceeded, ConfigError, NumericError, OodcfError, TooFewDims
-from .partition import Partition, conditional_entropy, fit_qda, search_partition
-from .projection import fit_projection, project, save_projection
+from .partition import Partition, search_partition
+from .projection import ProjectionModel, fit_projection, project, save_projection
 from .report import auroc, evaluate_run, format_table, repeat_and_aggregate, seed_prefix
 from .svgplot import ScatterPlot
 
@@ -274,8 +274,9 @@ class PipelineFit:
 
 
 def fit_pipeline(cfg: RunConfig, seed: int) -> PipelineFit:
-    ds = load_dataset(cfg, seed)
-    train, test = split(ds, SplitSpec(train_fraction=cfg.train_fraction, seed=seed))
+    # the loaded rows die with the split; only the two splits stay
+    train, test = split(load_dataset(cfg, seed),
+                        SplitSpec(train_fraction=cfg.train_fraction, seed=seed))
     k = cfg.k if cfg.k > 0 else train.n_features
     if k > cfg.cap:
         raise CapExceeded(
@@ -307,6 +308,14 @@ def _provenance(cfg: RunConfig) -> str:
 
 
 _CSV_CHUNK_ROWS = 256  # tens of kB of text: streamed tables stay out of memory
+
+
+def _column_rows(*columns):
+    """Lazy rows of equal-length 1-d numpy `columns`, `.tolist()` on
+    `_CSV_CHUNK_ROWS` rows of each at a time: every cell is a Python scalar
+    that prints by repr, and no column is ever whole as Python objects."""
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        yield from zip(*[c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns])
 
 
 def _plain_csv(rows: list, line: str, width: int) -> str | None:
@@ -380,10 +389,10 @@ def print_partition(part: Partition):
         print(f"note: {note}")
 
 
-def _traj_rows(fit: PipelineFit, results, variant):
+def _traj_rows(model, projection: ProjectionModel, results, variant):
     """Lazy rows of every trace of `results`, step by step: one projection
-    and one NLL solve per Gaussian over all traces, cells from `.tolist()`
-    so each prints by repr as a Python scalar."""
+    and one NLL solve per Gaussian over all traces, streamed by
+    `_column_rows`."""
     found = [(i, res.target_class if res.target_class is not None else 0, trace)
              for i, res in enumerate(results) for trace in res.trajectories]
     if not found:
@@ -391,16 +400,16 @@ def _traj_rows(fit: PipelineFit, results, variant):
     ids, targets, traces = zip(*found)
     lengths = [trace.points.shape[0] for trace in traces]
     U = np.concatenate([trace.points for trace in traces])
-    Z = U @ fit.projection.loadings
-    ln = fit.model.non_dis.nll(Z[:, list(fit.partition.z_n)])
+    Z = U @ projection.loadings
+    ln = model.non_dis.nll(Z[:, list(model.partition.z_n)])
     target, ld = np.repeat(targets, lengths), np.empty(len(U))
     for c in set(targets):
         rows = target == c
-        ld[rows] = fit.model.dis_per_class[c].nll(Z[rows][:, list(fit.partition.z_d)])
+        ld[rows] = model.dis_per_class[c].nll(Z[rows][:, list(model.partition.z_d)])
     step = np.arange(len(U)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return zip(np.repeat(ids, lengths).tolist(), itertools.repeat(variant),
-               np.repeat([trace.phase for trace in traces], lengths).tolist(),
-               step.tolist(), *U.T.tolist(), ln.tolist(), ld.tolist())
+    return _column_rows(np.repeat(ids, lengths), np.broadcast_to(np.array(variant), len(U)),
+                        np.repeat([trace.phase for trace in traces], lengths),
+                        step, *U.T, ln, ld)
 
 
 def _counterfactual_rows(results, variant):
@@ -417,45 +426,86 @@ def _counterfactual_rows(results, variant):
 
 # -- subcommands ---------------------------------------------------------------
 
-def _toy_figures(cfg: RunConfig, fit: PipelineFit, out: Path):
-    train = fit.train
-    mean = fit.projection.standardizer.mean
-    W = fit.projection.loadings
-    lengths = 2.0 * np.sqrt(fit.projection.explained_variance)
+TOY_APPROACHES = ("Mahalanobis Distance", "Marginal Mahalanobis Distance", "Custom metric")
+TOY_FIGURE_ROWS = 400  # rows of each group a toy figure draws
 
+
+@dataclass
+class ToyDiagnostics:
+    """What the toy's files and printout take from its first seed: the fitted
+    models and the few rows the figures draw, no row array of the fit."""
+
+    projection: ProjectionModel
+    model: object              # PartitionDensityModel, train NLLs cut to the stop quantile
+    class_points: list         # <= TOY_FIGURE_ROWS train rows per ID class
+    ood_points: np.ndarray     # <= TOY_FIGURE_ROWS OOD test rows
+    feature_names: list
+
+
+def _toy_seed(cfg: RunConfig, seed: int, diagnose: bool):
+    """One toy seed's AUROC per approach in `TOY_APPROACHES`, and with
+    `diagnose` its `ToyDiagnostics` (else None). Nothing else of the seed's
+    fit outlives the call."""
+    fit = fit_pipeline(cfg, seed)
+    ood = fit.test.ood_rows().features
+    Zood = project(fit.projection, ood)
+    mah = MahalanobisScorer.fit(fit.model)
+    marg = MarginalMahalanobisScorer.fit(fit.moments)
+    ln_id, ld_id = ood_scores(fit.model, fit.Z_eval)
+    ln_ood, ld_ood = ood_scores(fit.model, Zood)
+    aurocs = (auroc(-mah.score(fit.Z_eval), -mah.score(Zood)),
+              auroc(-marg.score(fit.Z_eval), -marg.score(Zood)),
+              auroc(-(ln_id + ld_id), -(ln_ood + ld_ood)))
+    if not diagnose:
+        return aurocs, None
+    train, m = fit.train, fit.model
+    # fancy indexing copies only the drawn rows, so no view pins a whole split
+    class_points = [train.features[np.flatnonzero(
+        (~train.ood_flag) & (train.class_label == c))[:TOY_FIGURE_ROWS]] for c in (0, 1)]
+    # the figures' descents read one quantile of each train NLL array, and its
+    # one-value array gives that quantile back exactly
+    def cut(nlls):
+        return np.quantile(nlls, cfg.stop_quantile, keepdims=True)
+    model = replace(m, non_dis_train_nlls=cut(m.non_dis_train_nlls),
+                    dis_train_nlls=list(map(cut, m.dis_train_nlls)),
+                    joint_train_nlls=list(map(cut, m.joint_train_nlls)))
+    return aurocs, ToyDiagnostics(fit.projection, model, class_points,
+                                  ood[:TOY_FIGURE_ROWS].copy(), train.feature_names)
+
+
+def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
+    projection = diag.projection
+    mean, W = projection.standardizer.mean, projection.loadings
+    lengths = 2.0 * np.sqrt(projection.explained_variance)
+
+    classes = [("class 0", "#1f77b4", diag.class_points[0]),
+               ("class 1", "#2ca02c", diag.class_points[1])]
     scatter = ScatterPlot(title="ID classes, OOD data, and principal components",
                           comment=f"config: {_provenance(cfg)}")
-    labels = ("class 0", "class 1")
-    colors = ("#1f77b4", "#2ca02c")
-    for c in (0, 1):
-        pts = train.features[(~train.ood_flag) & (train.class_label == c)]
-        scatter.add_group(labels[c], colors[c], pts[:400])
-    test_ood = fit.test.ood_rows().features
-    scatter.add_group("OOD", "#d62728", test_ood[:400])
-    for j in range(fit.projection.k):
-        end = mean + lengths[j] * W[:, j] * fit.projection.standardizer.scale
+    for group in classes + [("OOD", "#d62728", diag.ood_points)]:
+        scatter.add_group(*group)
+    for j in range(projection.k):
+        end = mean + lengths[j] * W[:, j] * projection.standardizer.scale
         scatter.add_arrow(f"pc{j + 1}", "#333333", mean, end)
     scatter.write(out / "toy_scatter.svg")
 
     gen_base = cfg.generation()
     for order_key, order in ORDER_NAMES.items():
         gcfg = replace(gen_base, order=order, target_class=TOY_TRACE_TARGET)
-        res = generate(np.array(TOY_TRACE_POINT), fit.model, fit.projection, gcfg)
+        res = generate(np.array(TOY_TRACE_POINT), diag.model, projection, gcfg)
         plot = ScatterPlot(
             title=f"trajectory of {TOY_TRACE_POINT}, order={order}",
             comment=f"config: {_provenance(cfg)}")
-        for c in (0, 1):
-            pts = train.features[(~train.ood_flag) & (train.class_label == c)]
-            plot.add_group(labels[c], colors[c], pts[:400])
-        plot.add_group("OOD", "#d62728", test_ood[:200])
+        for group in classes + [("OOD", "#d62728", diag.ood_points[:200])]:
+            plot.add_group(*group)
         phase_colors = {"non_dis": "#9467bd", "dis": "#ff7f0e", "joint": "#8c564b"}
         for trace in res.trajectories:
-            raw = fit.projection.standardizer.inverse_transform(trace.points)
+            raw = projection.standardizer.inverse_transform(trace.points)
             plot.add_polyline(f"{trace.phase} step", phase_colors[trace.phase], raw)
         plot.write(out / f"toy_trajectory_{order_key}.svg")
         if cfg.emit_trajectories:
-            write_csv(out / f"toy_trajectory_{order_key}.csv",
-                      _traj_header(train.feature_names), _traj_rows(fit, [res], "full"), cfg)
+            write_csv(out / f"toy_trajectory_{order_key}.csv", _traj_header(diag.feature_names),
+                      _traj_rows(diag.model, projection, [res], "full"), cfg)
 
 
 def cmd_toy(cfg: RunConfig) -> int:
@@ -464,49 +514,36 @@ def cmd_toy(cfg: RunConfig) -> int:
     if cfg.k == 0:
         cfg.k = 2
 
-    approaches = ("Mahalanobis Distance", "Marginal Mahalanobis Distance", "Custom metric")
-    per_seed = {a: [] for a in approaches}
-    first_fit = None
+    # one seed's fit at a time: each seed keeps only its AUROCs, the first
+    # also its diagnostics; every file is written once all seeds are scored
+    per_seed, diag = {a: [] for a in TOY_APPROACHES}, None
     for seed in cfg.seeds:
-        fit = fit_pipeline(cfg, seed)
-        if first_fit is None:
-            first_fit = fit
-        Zood = project(fit.projection, fit.test.ood_rows().features)
-        mah = MahalanobisScorer.fit(fit.model)
-        marg = MarginalMahalanobisScorer.fit(fit.moments)
-        ln_id, ld_id = ood_scores(fit.model, fit.Z_eval)
-        ln_ood, ld_ood = ood_scores(fit.model, Zood)
-        per_seed["Mahalanobis Distance"].append(
-            auroc(-mah.score(fit.Z_eval), -mah.score(Zood)))
-        per_seed["Marginal Mahalanobis Distance"].append(
-            auroc(-marg.score(fit.Z_eval), -marg.score(Zood)))
-        per_seed["Custom metric"].append(
-            auroc(-(ln_id + ld_id), -(ln_ood + ld_ood)))
+        aurocs, found = _toy_seed(cfg, seed, diagnose=diag is None)
+        diag = diag or found
+        for a, score in zip(TOY_APPROACHES, aurocs):
+            per_seed[a].append(score)
 
-    rows = [(a, seed, score) for a in approaches
+    rows = [(a, seed, score) for a in TOY_APPROACHES
             for seed, score in zip(cfg.seeds, per_seed[a])]
     write_csv(out / "toy_auroc.csv", ["approach", "seed", "auroc"], rows, cfg)
     summary = [(a, float(np.mean(per_seed[a])), float(np.std(per_seed[a])), len(cfg.seeds))
-               for a in approaches]
+               for a in TOY_APPROACHES]
     write_csv(out / "toy_auroc_summary.csv",
               ["approach", "auroc", "auroc_std", "n_seeds"], summary, cfg)
 
     print("OOD approach                       AUROC")
-    for a in approaches:
+    for a in TOY_APPROACHES:
         print(f"{a:<33}  {np.mean(per_seed[a]):.3f}")
 
-    # entropy / partition diagnostics for the first seed
-    ent = [conditional_entropy(fit_qda(first_fit.Z_train[:, [j]],
-                                       first_fit.train.class_label),
-                               first_fit.Z_eval[:, [j]])
-           for j in range(first_fit.projection.k)]
-    for j, h in enumerate(ent):
+    # entropy / partition diagnostics for the first seed, from its search
+    part = diag.model.partition
+    for j, h in enumerate(part.singleton_entropies):
         print(f"H[Y|pc{j + 1}] = {h:.3g} bits")
-    print_partition(first_fit.partition)
-    write_partition(out / "toy_partition.csv", first_fit.partition, cfg)
+    print_partition(part)
+    write_partition(out / "toy_partition.csv", part, cfg)
 
-    _toy_figures(cfg, first_fit, out)
-    save_projection(first_fit.projection, out / "toy_projection.json",
+    _toy_figures(cfg, diag, out)
+    save_projection(diag.projection, out / "toy_projection.json",
                     extra={"config": cfg.resolved()})
     return 0
 
@@ -607,7 +644,8 @@ def cmd_run(cfg: RunConfig) -> int:
             # cfi iterates in the classifier's own space; rows stream variant
             # by variant into the file
             traj_rows = itertools.chain.from_iterable(
-                _traj_rows(fit, results_cache[(seed, variant)], approach_names[variant])
+                _traj_rows(fit.model, fit.projection, results_cache[(seed, variant)],
+                           approach_names[variant])
                 for variant in cfg.variants if variant != "cfi")
             write_csv(out / f"trajectories_seed{seed}.csv",
                       _traj_header(fit.train.feature_names), traj_rows, cfg)
@@ -625,24 +663,29 @@ def cmd_partition(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg.source == "toy" and cfg.k == 0:
-        cfg.k = 2
+def _score_columns(cfg: RunConfig) -> tuple:
+    """The columns of scores.csv for the first seed's test rows; the fit dies
+    with the call, so only these arrays reach the write."""
     fit = fit_pipeline(cfg, cfg.seeds[0])
     test = fit.test
     Z = project(fit.projection, test.features)
     ln, ld = ood_scores(fit.model, Z)
     mah = MahalanobisScorer.fit(fit.model).score(Z)
     marg = MarginalMahalanobisScorer.fit(fit.moments).score(Z)
-    # Python floats from tolist() print by repr, the same text as numpy's str
-    rows = zip(range(test.n_rows), ln.tolist(), ld.tolist(), (ln + ld).tolist(),
-               mah.tolist(), marg.tolist(), test.ood_flag.astype(int).tolist())
+    return (np.arange(test.n_rows), ln, ld, ln + ld, mah, marg,
+            test.ood_flag.astype(int))
+
+
+def cmd_score(cfg: RunConfig) -> int:
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if cfg.source == "toy" and cfg.k == 0:
+        cfg.k = 2
+    columns = _score_columns(cfg)
     write_csv(out / "scores.csv",
               ["row_id", "l_n", "l_d", "l_total", "mahalanobis",
-               "marginal_mahalanobis", "ood_flag"], rows, cfg)
-    print(f"wrote {test.n_rows} score rows to {out / 'scores.csv'}")
+               "marginal_mahalanobis", "ood_flag"], _column_rows(*columns), cfg)
+    print(f"wrote {len(columns[0])} score rows to {out / 'scores.csv'}")
     return 0
 
 

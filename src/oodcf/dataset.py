@@ -19,10 +19,12 @@ from . import rng
 from .errors import (
     DataError,
     DegenerateSplit,
+    DimensionMismatch,
     EmptyPartition,
     MalformedFile,
     MissingColumn,
     OutOfRange,
+    UnknownClass,
 )
 
 OOD_LABEL = -1  # class_label sentinel for rows flagged OOD
@@ -76,12 +78,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         if self.features.shape[0] != self.class_label.shape[0]:
-            raise ValueError("features and class_label row counts differ")
+            raise DimensionMismatch("features and class_label row counts differ")
         if self.features.shape[0] != self.ood_flag.shape[0]:
-            raise ValueError("features and ood_flag row counts differ")
+            raise DimensionMismatch("features and ood_flag row counts differ")
         id_labels = self.class_label[~self.ood_flag]
         if id_labels.size and (id_labels.min() < 0 or id_labels.max() >= self.n_classes):
-            raise ValueError("ID class labels must be contiguous from 0")
+            raise UnknownClass("ID class labels must be contiguous from 0")
 
     @property
     def n_rows(self) -> int:

@@ -48,7 +48,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ._gaussian import LOG_2PI, ClassMoments, GaussianComponent, class_moments, whitened_sq
+from ._gaussian import LOG_2PI, ClassMoments, GaussianComponent, whitened_sq
 from .errors import (
     CapExceeded,
     DataError,
@@ -63,61 +63,10 @@ _CHUNK = 64  # subsets per batch in the subset tree and in the direct path
 _PIVOT_FLOOR = 1e-8  # relative to the dim's variance; see the module docstring
 
 
-@dataclass(frozen=True)
-class QdaModel:
-    """Per-class Gaussian with empirical priors; posteriors over class ids 0..C-1."""
-
-    components: list[GaussianComponent]
-    priors: np.ndarray
-
-    def log_joint(self, Z: np.ndarray) -> np.ndarray:
-        """log p(z | c) + log prior, shape (n, C); the components reject a
-        wrong width with DimensionMismatch."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.stack([np.log(p) - comp.nll(Z)
-                         for comp, p in zip(self.components, self.priors)], axis=1)
-
-    def posterior(self, Z: np.ndarray) -> np.ndarray:
-        """P(c | z) rows summing to 1, shape (n, C)."""
-        return _softmax(self.log_joint(Z))
-
-
-def _softmax(lj: np.ndarray) -> np.ndarray:
-    """Normalize log joints over the last (class) axis."""
-    p = np.exp(lj - lj.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
 def _priors(moments: ClassMoments) -> np.ndarray:
     if len(moments.counts) < 2:
         raise DataError(f"QDA needs >= 2 classes, got {len(moments.counts)}")
     return moments.counts / moments.counts.sum()
-
-
-def fit_qda(Z: np.ndarray, Y: np.ndarray) -> QdaModel:
-    """Class-conditional Gaussians with ridge-regularized covariances."""
-    moments = class_moments(Z, Y)
-    priors = _priors(moments)
-    return QdaModel(components=[moments.gaussian(range(len(moments.mean)), c)
-                                for c in range(len(priors))], priors=priors)
-
-
-def _posterior_entropy_bits(P: np.ndarray) -> np.ndarray:
-    """Categorical entropy in bits over the last axis, with 0*log0 -> 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(P > 0.0, P * np.log2(P), 0.0)
-    return -terms.sum(axis=-1)
-
-
-def conditional_entropy(model: QdaModel, Z_eval: np.ndarray) -> float:
-    """Mean posterior entropy over evaluation rows, in bits.
-
-    For two classes this is E[h(P(y=1|z))]; for more classes the full
-    categorical posterior entropy.
-    """
-    P = model.posterior(Z_eval)
-    return float(_posterior_entropy_bits(P).mean())
 
 
 def _factor(means: np.ndarray, covs: np.ndarray):
@@ -142,9 +91,13 @@ def _factor(means: np.ndarray, covs: np.ndarray):
 
 
 def _mean_entropy(lj: np.ndarray) -> np.ndarray:
-    """Mean over the eval rows of the posterior entropy (bits) from log joints
-    shaped (..., n, C)."""
-    return _posterior_entropy_bits(_softmax(lj)).mean(axis=-1)
+    """Mean over the eval rows of the posterior entropy (bits, 0*log0 -> 0)
+    from log joints shaped (..., n, C)."""
+    P = np.exp(lj - lj.max(axis=-1, keepdims=True))
+    P /= P.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(P > 0.0, P * np.log2(P), 0.0)
+    return -terms.sum(axis=-1).mean(axis=-1)
 
 
 def _direct_entropies(means, covs, log_priors, Zt, idx) -> np.ndarray:
@@ -266,6 +219,7 @@ class Partition:
     chosen_cardinality: int
     threshold: float | None
     notes: list[str] = field(default_factory=list)
+    singleton_entropies: tuple[float, ...] = ()  # H[Y | z_j] in bits, per latent j
 
     @property
     def k(self) -> int:
@@ -282,7 +236,8 @@ def search_partition(moments: ClassMoments, Z_eval, slack: float = DEFAULT_SLACK
     are z-score-normalized; with m their minimum, cardinalities whose
     normalized value is below m + |m|*slack (or exactly equal to it)
     qualify, and the smallest qualifying cardinality becomes |z_d|. A
-    single cardinality (k = 2) is chosen as it is.
+    single cardinality (k = 2) is chosen as it is. Each latent's own
+    entropy, a by-product of the search, is kept as `singleton_entropies`.
     """
     Z_eval = np.atleast_2d(np.asarray(Z_eval, dtype=float))
     k = len(moments.mean)
@@ -345,5 +300,5 @@ def search_partition(moments: ClassMoments, Z_eval, slack: float = DEFAULT_SLACK
     return Partition(
         z_d=z_d, z_n=z_n, per_cardinality=records,
         chosen_cardinality=best_per_card[chosen_idx][0],
-        threshold=threshold, notes=notes,
+        threshold=threshold, notes=notes, singleton_entropies=tuple(entropy[1].tolist()),
     )

@@ -51,6 +51,45 @@ def _fit(train, test, proj, Z_train, Z_eval) -> FittedToy:
                      model=model, Z_train=Z_train, Z_eval=Z_eval)
 
 
+@dataclass(frozen=True)
+class QdaModel:
+    """QDA oracle: per-class Gaussians with empirical priors, posteriors over
+    class ids 0..C-1, each fitted from its own columns' moments."""
+
+    components: list
+    priors: np.ndarray
+
+    def log_joint(self, Z) -> np.ndarray:
+        """log p(z | c) + log prior, shape (n, C); the components reject a
+        wrong width with DimensionMismatch."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        return np.stack([np.log(p) - comp.nll(Z)
+                         for comp, p in zip(self.components, self.priors)], axis=1)
+
+    def posterior(self, Z) -> np.ndarray:
+        """P(c | z) rows summing to 1, shape (n, C)."""
+        lj = self.log_joint(Z)
+        P = np.exp(lj - lj.max(axis=-1, keepdims=True))
+        return P / P.sum(axis=-1, keepdims=True)
+
+
+def fit_qda(Z, Y) -> QdaModel:
+    """Class-conditional Gaussians with ridge-regularized covariances."""
+    moments = density.class_moments(Z, Y)
+    priors = partition._priors(moments)
+    return QdaModel(components=[moments.gaussian(range(len(moments.mean)), c)
+                                for c in range(len(priors))], priors=priors)
+
+
+def conditional_entropy(model: QdaModel, Z_eval) -> float:
+    """Mean posterior entropy over evaluation rows, in bits: E[h(P(y=1|z))]
+    for two classes, the full categorical posterior entropy for more."""
+    P = model.posterior(Z_eval)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(P > 0.0, P * np.log2(P), 0.0)
+    return float(-terms.sum(axis=-1).mean())
+
+
 def id_scores(fit: FittedToy) -> np.ndarray:
     """-l_total of the fit's ID test rows: the AUROC positives of
     `report.evaluate_run`."""

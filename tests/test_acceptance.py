@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cfi_one, fit_toy, id_scores, predict_proba
-from oodcf import (cli, counterfactual, dataset, density, partition,
-                   projection, report)
+from conftest import (cfi_one, conditional_entropy, fit_qda, fit_toy, id_scores,
+                      predict_proba)
+from oodcf import cli, counterfactual, dataset, density, projection, report
 from oodcf.counterfactual import CfiConfig, GenerationConfig
 
 WINE = Path(__file__).resolve().parent.parent / "data" / "wine_like.csv"
@@ -105,8 +105,8 @@ def test_criterion_03_toy_entropies_and_partition():
     fit = fit_toy(seed=0)
     h = []
     for j in (0, 1):
-        qda = partition.fit_qda(fit.Z_train[:, [j]], fit.train.class_label)
-        h.append(partition.conditional_entropy(qda, fit.Z_eval[:, [j]]))
+        qda = fit_qda(fit.Z_train[:, [j]], fit.train.class_label)
+        h.append(conditional_entropy(qda, fit.Z_eval[:, [j]]))
     ok = h[0] < 0.02 and h[1] > 0.95 and fit.part.z_d == (0,)
     verdict(3, ok,
             f"H[Y|pc1]={h[0]:.2e} (< 0.02), H[Y|pc2]={h[1]:.3f} (> 0.95), "

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
+import types
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodcf import cli
-from oodcf.counterfactual import batch_generate, train_softmax_classifier
+from oodcf.counterfactual import PhaseTrace, batch_generate, train_softmax_classifier
 from oodcf.dataset import OodRule
 from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
 from oodcf.errors import ConfigError, RankDeficientWarning
@@ -565,7 +567,7 @@ class TestTrajRowsAgainstOracle:
             traces = [t for r in results for t in r.trajectories]
             assert min(len(t.points) for t in traces) == 1
             assert {r.target_class for r in results} == {0, 1}
-            got = list(cli._traj_rows(fit, results, variant))
+            got = list(cli._traj_rows(fit.model, fit.projection, results, variant))
             want = _oracle_traj_rows(fit, results, variant)
             assert len(got) == len(want) == sum(len(t.points) for t in traces)
             for g, w in zip(got, want):
@@ -585,7 +587,7 @@ class TestTrajRowsAgainstOracle:
                                 cfg=cfg.generation(), targets=np.full(len(ood), 9))
         assert all(r.failed for r in failed)
         for results in ([], cfi, failed):
-            assert list(cli._traj_rows(fit, results, "x")) == []
+            assert list(cli._traj_rows(fit.model, fit.projection, results, "x")) == []
 
 
 class TestRunDeterminism:
@@ -768,3 +770,113 @@ def test_linalg_error_exits_numeric(tmp_path, monkeypatch, capsys):
     assert record["error"] == "NumericError" and record["exit_code"] == 4
     assert "Singular matrix" in record["message"]
     assert json.loads(capsys.readouterr().err) == record
+
+
+# -- streamed rows and one seed's working set at a time -------------------------
+
+SCORE_HEADER = ["row_id", "l_n", "l_d", "l_total", "mahalanobis", "marginal_mahalanobis",
+                "ood_flag"]
+ROW_COUNTS = (0, 1, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1,
+              2 * cli._CSV_CHUNK_ROWS + 37)
+
+
+def _score_like_columns(n):
+    """Columns shaped like `_score_columns`' with floats of every print form."""
+    gen = np.random.default_rng(n)
+    floats = [gen.normal(size=n) * 10.0 ** gen.integers(-320, 300, size=n) for _ in range(5)]
+    for col, special in zip(floats, (np.nan, np.inf, -np.inf, -0.0, 5e-324)):
+        col[::7] = special
+    return (np.arange(n), *floats, (gen.random(n) < 0.5).astype(int))
+
+
+def _unchunked_traj_rows(model, projection, results, variant):
+    """Trajectory rows with each column made whole by one `.tolist()`."""
+    found = [(i, res.target_class, trace)
+             for i, res in enumerate(results) for trace in res.trajectories]
+    if not found:
+        return []
+    ids, targets, traces = zip(*found)
+    lengths = [len(trace.points) for trace in traces]
+    U = np.concatenate([trace.points for trace in traces])
+    Z = U @ projection.loadings
+    zn, zd = list(model.partition.z_n), list(model.partition.z_d)
+    target = np.repeat(targets, lengths)
+    ld = np.empty(len(U))
+    for c in set(targets):
+        ld[target == c] = model.dis_per_class[c].nll(Z[target == c][:, zd])
+    return list(zip(np.repeat(ids, lengths).tolist(), [variant] * len(U),
+                    np.repeat([t.phase for t in traces], lengths).tolist(),
+                    [s for n in lengths for s in range(n)], *U.T.tolist(),
+                    model.non_dis.nll(Z[:, zn]).tolist(), ld.tolist()))
+
+
+class TestStreamedRows:
+    """Rows streamed `_CSV_CHUNK_ROWS` at a time write the bytes of rows whose
+    columns are made whole first."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_scores_csv(self, tmp_path, monkeypatch, capsys, n):
+        columns = _score_like_columns(n)
+        monkeypatch.setattr(cli, "_score_columns", lambda cfg: columns)
+        argv = ["score", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        cfg = cli.build_config(cli.make_parser().parse_args(argv))
+        cfg.k = 2
+        want = _csv_writer_bytes(SCORE_HEADER, zip(*[c.tolist() for c in columns]), cfg)
+        assert (tmp_path / "scores.csv").read_bytes() == want
+        assert capsys.readouterr().out.startswith(f"wrote {n} score rows")
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_trajectory_rows(self, tmp_path, n):
+        cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
+        fit = cli.fit_pipeline(cfg, 0)
+        gen = np.random.default_rng(n)
+        # traces of 1 to 100 points; three phases and both targets take turns
+        lengths, left = [], n
+        while left:
+            lengths.append(min(left, int(gen.integers(1, 101))))
+            left -= lengths[-1]
+        results = [types.SimpleNamespace(target_class=i % 2, trajectories=[
+            PhaseTrace(("non_dis", "dis", "joint")[i % 3], gen.normal(size=(m, 2)) * 3,
+                       np.zeros(m), None, m - 1)]) for i, m in enumerate(lengths)]
+        results.append(types.SimpleNamespace(target_class=1, trajectories=[]))
+        header = cli._traj_header(fit.train.feature_names)
+        cli.write_csv(tmp_path / "t.csv", header,
+                      cli._traj_rows(fit.model, fit.projection, results, "OOD CF"), cfg)
+        want = _unchunked_traj_rows(fit.model, fit.projection, results, "OOD CF")
+        assert len(want) == n
+        assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(header, want, cfg)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+TOY_2E4 = ["--n-per-class", "20000", "--n-ood", "20000"]
+
+
+class TestOneSeedAtATime:
+    """`toy` keeps no seed's fit past that seed, and `score` drops its fit
+    before the write and never holds a score column as Python objects."""
+
+    def test_toy_peak_does_not_grow_with_seeds(self, tmp_path, capsys):
+        run_cli(["toy", "--n-per-class", "200", "--seeds", "0", "--out", tmp_path / "warm"])
+        one = _traced_peak(lambda: run_cli(["toy", *TOY_2E4, "--seeds", "0",
+                                            "--out", tmp_path / "one"]))
+        three = _traced_peak(lambda: run_cli(["toy", *TOY_2E4, "--seeds", "0,1,2",
+                                              "--out", tmp_path / "three"]))
+        assert three <= 1.1 * one
+
+    def test_score_peak_near_the_fit(self, tmp_path, capsys):
+        run_cli(["score", "--n-per-class", "200", "--seeds", "0", "--out", tmp_path / "warm"])
+        cfg = cli.RunConfig(n_per_class=20000, n_ood=20000, k=2)
+        fit = _traced_peak(lambda: cli.fit_pipeline(cfg, 0))
+        score = _traced_peak(lambda: run_cli(["score", *TOY_2E4, "--seeds", "0",
+                                              "--out", tmp_path / "s"]))
+        assert score <= 1.35 * fit

@@ -405,6 +405,37 @@ class TestCfiGradient:
         assert rel.max() <= 1e-6
 
 
+class TestNllGradient:
+    """With alpha = 1 a density step is a plain gradient step on the phase's
+    Gaussian NLL of J @ u, so U - step(U, Y, 1) is its gradient; alpha is
+    per row."""
+
+    @pytest.mark.parametrize("phase", ["non_dis", "dis", "joint"])
+    @pytest.mark.parametrize("kind", ["toy", "wine"])
+    def test_step_matches_central_differences(self, kind, phase, request):
+        fit = request.getfixturevalue(f"{kind}_fit")
+        U = fit.projection.standardizer.transform(fit.test.ood_rows().features[:40])
+        targets = np.arange(len(U)) % 2
+        dims, gaussians = counterfactual._phase_gaussians(fit.model, fit.projection,
+                                                          phase, targets)
+        J = projection.jacobian(fit.projection, dims)
+        objective = counterfactual._NllObjective(J, gaussians, phase)
+        grad = U - objective.step(U, objective.loss(U)[1], np.ones(len(U)))
+        comps = {"non_dis": [fit.model.non_dis] * 2, "dis": fit.model.dis_per_class,
+                 "joint": fit.model.joint_per_class}[phase]
+
+        def nll(V):
+            return np.array([comps[t].nll(J @ v) for v, t in zip(V, targets)])
+
+        h, fd = 1e-5, np.empty_like(U)
+        for j in range(U.shape[1]):
+            E = np.zeros_like(U)
+            E[:, j] = h
+            fd[:, j] = (nll(U + E) - nll(U - E)) / (2 * h)
+        rel = np.linalg.norm(grad - fd, axis=1) / np.linalg.norm(fd, axis=1)
+        assert rel.max() <= 1e-6
+
+
 # -- per-row oracle: the descent loops as they ran before the batched engine --
 # Kept verbatim apart from two helpers that pin the arithmetic of that time:
 # the gradient by two LU solves, and the class probabilities by a matmul.

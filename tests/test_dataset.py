@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodcf import dataset
+from oodcf import cli, dataset
 from oodcf.errors import (
+    EXIT_DATA,
     DataError,
     DegenerateSplit,
+    DimensionMismatch,
     EmptyPartition,
     MalformedFile,
     MissingColumn,
     OutOfRange,
+    UnknownClass,
 )
 
 
@@ -189,6 +194,35 @@ def two_class_dataset(n0, n1, n_ood=0):
                              np.full(n_ood, dataset.OOD_LABEL)])
     ood = np.concatenate([np.zeros(n0 + n1, bool), np.ones(n_ood, bool)])
     return dataset.LabeledDataset(features, labels, ood, ["a", "b"], "test")
+
+
+# each inconsistent LabeledDataset field set, and the error it raises
+BAD_DATASETS = {
+    "label_rows": ((np.zeros((3, 2)), np.zeros(2, int), np.zeros(3, bool)), DimensionMismatch),
+    "flag_rows": ((np.zeros((3, 2)), np.zeros(3, int), np.zeros(4, bool)), DimensionMismatch),
+    "negative_id_label": ((np.zeros((3, 2)), np.array([0, -1, 1]), np.zeros(3, bool)),
+                          UnknownClass),
+}
+
+
+class TestLabeledDatasetChecks:
+    """An inconsistent LabeledDataset is a data error: exit 3 with error.json."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+    def test_raises_data_error(self, case):
+        arrays, error = BAD_DATASETS[case]
+        with pytest.raises(error) as info:
+            dataset.LabeledDataset(*arrays, ["a", "b"], "test")
+        assert isinstance(info.value, DataError)
+        assert info.value.exit_code == EXIT_DATA
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+    def test_cli_exits_3_with_error_json(self, case, tmp_path, monkeypatch, capsys):
+        arrays, error = BAD_DATASETS[case]
+        monkeypatch.setattr(cli, "make_toy", lambda *a: dataset.LabeledDataset(
+            *arrays, ["a", "b"], "test"))
+        assert cli.main(["score", "--out", str(tmp_path)]) == EXIT_DATA
+        assert json.loads((tmp_path / "error.json").read_text())["error"] == error.__name__
 
 
 class TestSplit:

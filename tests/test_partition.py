@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import conditional_entropy, fit_qda, fit_toy, fit_wine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,10 +43,10 @@ def partition_loss(subset, Z_train, Y_train, Z_eval) -> float:
     comp = tuple(i for i in range(k) if i not in subset)
     if not subset or not comp:
         raise OutOfRange("subset and complement must both be non-empty")
-    h_sub = partition.conditional_entropy(
-        partition.fit_qda(Z_train[:, subset], Y_train), Z_eval[:, subset])
-    h_comp = partition.conditional_entropy(
-        partition.fit_qda(Z_train[:, comp], Y_train), Z_eval[:, comp])
+    h_sub = conditional_entropy(
+        fit_qda(Z_train[:, subset], Y_train), Z_eval[:, subset])
+    h_comp = conditional_entropy(
+        fit_qda(Z_train[:, comp], Y_train), Z_eval[:, comp])
     return h_sub - h_comp
 
 
@@ -59,7 +60,7 @@ def separated_1d(n=200, gap=3.0, scale=1.0, seed=0):
 class TestFitQda:
     def test_separated_posterior_matches_closed_form(self):
         Z, Y = separated_1d()
-        model = partition.fit_qda(Z, Y)
+        model = fit_qda(Z, Y)
         post = model.posterior(np.array([[3.0]]))[0]
         assert post[1] > 0.99
         # closed-form two-Gaussian posterior from the fitted moments
@@ -75,25 +76,25 @@ class TestFitQda:
         base = gen.normal(size=(300, 2))
         Z = np.vstack([base, base])  # class distributions identical
         Y = np.array([0] * 300 + [1] * 300)
-        model = partition.fit_qda(Z, Y)
+        model = fit_qda(Z, Y)
         post = model.posterior(gen.normal(size=(50, 2)))
         assert np.allclose(post, 0.5, atol=1e-9)
 
     def test_single_class_rejected(self):
         Z = np.random.default_rng(2).normal(size=(20, 2))
         with pytest.raises(DataError):
-            partition.fit_qda(Z, np.zeros(20, int))
+            fit_qda(Z, np.zeros(20, int))
 
     def test_priors_are_empirical(self):
         Z, Y = separated_1d()
         Z = np.vstack([Z, Z[:100]])
         Y = np.concatenate([Y, np.zeros(100, int)])
-        model = partition.fit_qda(Z, Y)
+        model = fit_qda(Z, Y)
         assert model.priors[0] == pytest.approx(300 / 500)
 
     def test_posterior_rows_sum_to_one(self):
         Z, Y = separated_1d(seed=3)
-        model = partition.fit_qda(Z, Y)
+        model = fit_qda(Z, Y)
         P = model.posterior(np.linspace(-5, 5, 40)[:, None])
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
@@ -127,33 +128,48 @@ class TestConditionalEntropy:
     def test_constant_half_posterior_is_exactly_one(self):
         gen = np.random.default_rng(4)
         base = gen.normal(size=(100, 1))
-        model = partition.fit_qda(np.vstack([base, base]),
+        model = fit_qda(np.vstack([base, base]),
                                   np.array([0] * 100 + [1] * 100))
-        h = partition.conditional_entropy(model, gen.normal(size=(30, 1)))
+        h = conditional_entropy(model, gen.normal(size=(30, 1)))
         assert h == 1.0
 
     def test_toy_pc1_entropy(self, toy_fit):
-        model = partition.fit_qda(toy_fit.Z_train[:, [0]], toy_fit.train.class_label)
-        h = partition.conditional_entropy(model, toy_fit.Z_eval[:, [0]])
+        model = fit_qda(toy_fit.Z_train[:, [0]], toy_fit.train.class_label)
+        h = conditional_entropy(model, toy_fit.Z_eval[:, [0]])
         assert abs(h - 1.92e-3) <= 5e-3
 
     def test_toy_pc2_entropy(self, toy_fit):
-        model = partition.fit_qda(toy_fit.Z_train[:, [1]], toy_fit.train.class_label)
-        h = partition.conditional_entropy(model, toy_fit.Z_eval[:, [1]])
+        model = fit_qda(toy_fit.Z_train[:, [1]], toy_fit.train.class_label)
+        h = conditional_entropy(model, toy_fit.Z_eval[:, [1]])
         assert abs(h - 1.0) <= 0.02
 
     def test_two_classes_is_mean_bernoulli_entropy(self):
         Z, Y = separated_1d(gap=1.0, seed=9)
-        model = partition.fit_qda(Z, Y)
+        model = fit_qda(Z, Y)
         Ze = np.linspace(-4, 4, 33)[:, None]
         expected = np.mean([bernoulli_entropy(p) for p in model.posterior(Ze)[:, 1]])
-        assert partition.conditional_entropy(model, Ze) == pytest.approx(expected, abs=1e-12)
+        assert conditional_entropy(model, Ze) == pytest.approx(expected, abs=1e-12)
 
     def test_binary_entropy_range(self):
         Z, Y = separated_1d(gap=0.5, seed=5)
-        model = partition.fit_qda(Z, Y)
-        h = partition.conditional_entropy(model, Z)
+        model = fit_qda(Z, Y)
+        h = conditional_entropy(model, Z)
         assert 0.0 <= h <= 1.0
+
+
+class TestSingletonEntropies:
+    """The search's cardinality-1 entropies, kept on the Partition, are each
+    latent's own QDA entropy: the values `toy` prints as H[Y|pc_j]."""
+
+    @pytest.mark.parametrize("kind,seed", [(k, s) for k in ("toy", "wine") for s in range(3)])
+    def test_match_per_latent_qda_oracle(self, kind, seed):
+        fit = (fit_toy if kind == "toy" else fit_wine)(seed=seed)
+        want = [conditional_entropy(fit_qda(fit.Z_train[:, [j]], fit.train.class_label),
+                                    fit.Z_eval[:, [j]]) for j in range(fit.projection.k)]
+        got = fit.part.singleton_entropies
+        assert len(got) == fit.projection.k
+        assert all(type(h) is float for h in got)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
 
 
 class TestPartitionLoss:
@@ -354,8 +370,8 @@ class TestMulticlass:
     def test_entropy_bounded_by_log2_c(self):
         Z, Y, Ze = self.data()
         gen = np.random.default_rng(1)
-        noise = partition.fit_qda(gen.normal(size=(180, 2)), Y)
-        h = partition.conditional_entropy(noise, gen.normal(size=(50, 2)))
+        noise = fit_qda(gen.normal(size=(180, 2)), Y)
+        h = conditional_entropy(noise, gen.normal(size=(50, 2)))
         assert 0.0 <= h <= np.log2(3) + 1e-9
 
     def test_three_class_search_runs(self):
@@ -375,7 +391,7 @@ def per_subset_oracle(Z, Y, Ze):
 
     def entropy(cols):
         cols = list(cols)
-        return partition.conditional_entropy(partition.fit_qda(Z[:, cols], Y), Ze[:, cols])
+        return conditional_entropy(fit_qda(Z[:, cols], Y), Ze[:, cols])
 
     out = []
     for c in range(1, k):
@@ -512,7 +528,7 @@ class TestBatchedSearchAgainstOracle:
         for c in (2, 3, 4):
             idx = np.array([s for s in combinations(range(5), c) if {1, 3} <= set(s)])
             got = partition._direct_entropies(m.means, m.covs, log_priors, Ze.T, idx)
-            want = [partition.conditional_entropy(partition.fit_qda(Z[:, s], Y), Ze[:, s])
+            want = [conditional_entropy(fit_qda(Z[:, s], Y), Ze[:, s])
                     for s in idx]
             assert np.abs(got - want).max() <= 1e-12
 
