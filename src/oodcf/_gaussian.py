@@ -19,7 +19,7 @@ from .errors import DataError, DimensionMismatch, SingularCovariance
 LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_START = 1e-6
 _RIDGE_ESCALATIONS = 16
-_POOL_CHUNK = 1 << 13  # rows per centred block of the pooled covariance
+_ROW_CHUNK = 1 << 13  # rows per block of the pooled covariance and of a whitening
 
 
 def regularized_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -113,9 +113,14 @@ class GaussianComponent:
         return np.einsum("ji,...j->...i", self.chol_inv, y)
 
     def mahalanobis_sq(self, z: np.ndarray):
-        """(z - mean)^T Sigma^{-1} (z - mean); vector or batch."""
+        """(z - mean)^T Sigma^{-1} (z - mean); vector or batch. A batch is
+        whitened `_ROW_CHUNK` rows at a time, so its temporaries stay small."""
         z = self._check(z)
-        quad = whitened_sq(self.chol, (np.atleast_2d(z) - self.mean).T)
+        rows = np.atleast_2d(z)
+        quad = np.empty(len(rows))
+        for start in range(0, len(rows), _ROW_CHUNK):
+            chunk = slice(start, start + _ROW_CHUNK)
+            quad[chunk] = whitened_sq(self.chol, (rows[chunk] - self.mean).T)
         return float(quad[0]) if z.ndim == 1 else quad
 
     @property
@@ -144,7 +149,7 @@ class ClassMoments:
 
 def class_moments(Z: np.ndarray, Y: np.ndarray) -> ClassMoments:
     """Moments of the rows of Z by their class ids Y, which must be 0..C-1.
-    The pooled covariance sums the centred rows `_POOL_CHUNK` at a time, so
+    The pooled covariance sums the centred rows `_ROW_CHUNK` at a time, so
     no centred copy of all of Z is made."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Y = np.asarray(Y)
@@ -161,8 +166,8 @@ def class_moments(Z: np.ndarray, Y: np.ndarray) -> ClassMoments:
         centered = members - means[-1]
         covs.append(centered.T @ centered / (n - 1))
     mean, scatter = Z.mean(axis=0), 0.0
-    for start in range(0, len(Z), _POOL_CHUNK):
-        centered = Z[start:start + _POOL_CHUNK] - mean
+    for start in range(0, len(Z), _ROW_CHUNK):
+        centered = Z[start:start + _ROW_CHUNK] - mean
         scatter = scatter + centered.T @ centered
     return ClassMoments(np.array(means), np.array(covs), counts, mean,
                         scatter / (len(Z) - 1))

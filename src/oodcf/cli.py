@@ -55,7 +55,15 @@ from .density import (
     fit_partition_density,
     ood_scores,
 )
-from .errors import EXIT_CONFIG, CapExceeded, ConfigError, NumericError, OodcfError, TooFewDims
+from .errors import (
+    EXIT_CONFIG,
+    CapExceeded,
+    ConfigError,
+    DimensionMismatch,
+    NumericError,
+    OodcfError,
+    TooFewDims,
+)
 from .partition import Partition, search_partition
 from .projection import ProjectionModel, fit_projection, project, save_projection
 from .report import auroc, evaluate_run, format_table, repeat_and_aggregate, seed_prefix
@@ -263,42 +271,69 @@ def load_dataset(cfg: RunConfig, seed: int) -> LabeledDataset:
 
 @dataclass
 class PipelineFit:
-    train: LabeledDataset
-    test: LabeledDataset
-    projection: object
+    """A seed's fitted models, the latents of its test rows and the raw rows
+    later stages read; no other row array of the seed outlives the fit."""
+
+    projection: ProjectionModel
     partition: Partition
     moments: ClassMoments
     model: object
-    Z_train: np.ndarray
-    Z_eval: np.ndarray
+    Z_test: np.ndarray            # latents of every test row, in test order
+    ood_flag: np.ndarray          # the test rows' OOD flags
+    ood: np.ndarray               # the OOD test rows, raw
+    feature_names: list
+    train: LabeledDataset | None  # the ID-train rows, where a caller reads them
 
 
-def fit_pipeline(cfg: RunConfig, seed: int) -> PipelineFit:
-    # the loaded rows die with the split; only the two splits stay
+def fit_pipeline(cfg: RunConfig, seed: int, keep_train: bool = False) -> PipelineFit:
+    """Split, projection, partition search and densities of `seed`. Each raw
+    array is let go once the stages that read it are done; `keep_train`
+    keeps the ID-train rows for the caller."""
+    # the loaded rows die in the split, one column at a time
     train, test = split(load_dataset(cfg, seed),
                         SplitSpec(train_fraction=cfg.train_fraction, seed=seed))
+    # split sends every OOD row to the test side, so every train row is ID
     k = cfg.k if cfg.k > 0 else train.n_features
     if k > cfg.cap:
         raise CapExceeded(
             f"k={k} exceeds the partition-search cap {cfg.cap}; "
             "pass --k to reduce dimensionality or --cap to override")
-    rows = np.count_nonzero(~train.ood_flag)
     # a k taken from the data that the data cannot serve is a data problem
-    if cfg.k == 0 and not 2 <= k < rows:
-        raise TooFewDims(f"the data give k={k} (one latent per feature) and {rows} "
+    if cfg.k == 0 and not 2 <= k < train.n_rows:
+        raise TooFewDims(f"the data give k={k} (one latent per feature) and {train.n_rows} "
                          "train rows; the partition search needs 2 <= k < rows")
-    projection = fit_projection(train.features[~train.ood_flag], k, cfg.with_scaling)
+    projection = fit_projection(train.features, k, cfg.with_scaling)
     if cfg.k == 0 and projection.k < 2:
         raise TooFewDims(f"the features have rank {projection.k}; the partition search needs 2")
-    Z_train = project(projection, train.features)
-    id_test = test.id_rows()
-    Z_eval = project(projection, id_test.features)
+    Z_test, ood_flag, ood = (project(projection, test.features), test.ood_flag,
+                             test.features[test.ood_flag])
+    del test
+    Z_train, labels, names = (project(projection, train.features), train.class_label,
+                              train.feature_names)
+    kept = train if keep_train else None
+    del train
     # the seed's one moment pass: the search, the model and both baselines use it
-    moments = class_moments(Z_train, train.class_label)
-    part = search_partition(moments, Z_eval, slack=cfg.slack, cap=cfg.cap)
-    model = fit_partition_density(Z_train, train.class_label, moments, part)
-    return PipelineFit(train=train, test=test, projection=projection, partition=part,
-                       moments=moments, model=model, Z_train=Z_train, Z_eval=Z_eval)
+    moments = class_moments(Z_train, labels)
+    part = search_partition(moments, Z_test[~ood_flag], slack=cfg.slack, cap=cfg.cap)
+    model = fit_partition_density(Z_train, labels, moments, part)
+    # every descent reads one quantile of each train NLL array, and its
+    # one-value array gives that quantile back exactly
+    def cut(nlls):
+        return np.quantile(nlls, cfg.stop_quantile, keepdims=True)
+    model = replace(model, non_dis_train_nlls=cut(model.non_dis_train_nlls),
+                    dis_train_nlls=list(map(cut, model.dis_train_nlls)),
+                    joint_train_nlls=list(map(cut, model.joint_train_nlls)))
+    return PipelineFit(projection, part, moments, model, Z_test, ood_flag, ood, names, kept)
+
+
+def _seed_scores(fit: PipelineFit) -> tuple:
+    """The l_n, l_d, Mahalanobis and marginal Mahalanobis scores of each test
+    row of `fit`, in test order: the columns `score` writes, and that `toy`
+    ranks split by the rows' OOD flags."""
+    ln, ld = ood_scores(fit.model, fit.Z_test)
+    mah = MahalanobisScorer.fit(fit.model).score(fit.Z_test)
+    marg = MarginalMahalanobisScorer.fit(fit.moments).score(fit.Z_test)
+    return ln, ld, mah, marg
 
 
 # -- output helpers ----------------------------------------------------------
@@ -436,41 +471,20 @@ class ToyDiagnostics:
     models and the few rows the figures draw, no row array of the fit."""
 
     projection: ProjectionModel
-    model: object              # PartitionDensityModel, train NLLs cut to the stop quantile
+    model: object              # PartitionDensityModel
     class_points: list         # <= TOY_FIGURE_ROWS train rows per ID class
     ood_points: np.ndarray     # <= TOY_FIGURE_ROWS OOD test rows
     feature_names: list
 
 
-def _toy_seed(cfg: RunConfig, seed: int, diagnose: bool):
-    """One toy seed's AUROC per approach in `TOY_APPROACHES`, and with
-    `diagnose` its `ToyDiagnostics` (else None). Nothing else of the seed's
-    fit outlives the call."""
-    fit = fit_pipeline(cfg, seed)
-    ood = fit.test.ood_rows().features
-    Zood = project(fit.projection, ood)
-    mah = MahalanobisScorer.fit(fit.model)
-    marg = MarginalMahalanobisScorer.fit(fit.moments)
-    ln_id, ld_id = ood_scores(fit.model, fit.Z_eval)
-    ln_ood, ld_ood = ood_scores(fit.model, Zood)
-    aurocs = (auroc(-mah.score(fit.Z_eval), -mah.score(Zood)),
-              auroc(-marg.score(fit.Z_eval), -marg.score(Zood)),
-              auroc(-(ln_id + ld_id), -(ln_ood + ld_ood)))
-    if not diagnose:
-        return aurocs, None
-    train, m = fit.train, fit.model
+def _toy_diagnostics(fit: PipelineFit) -> ToyDiagnostics:
+    """What the toy's files take from `fit`, a fit that kept its train rows."""
+    train = fit.train
     # fancy indexing copies only the drawn rows, so no view pins a whole split
-    class_points = [train.features[np.flatnonzero(
-        (~train.ood_flag) & (train.class_label == c))[:TOY_FIGURE_ROWS]] for c in (0, 1)]
-    # the figures' descents read one quantile of each train NLL array, and its
-    # one-value array gives that quantile back exactly
-    def cut(nlls):
-        return np.quantile(nlls, cfg.stop_quantile, keepdims=True)
-    model = replace(m, non_dis_train_nlls=cut(m.non_dis_train_nlls),
-                    dis_train_nlls=list(map(cut, m.dis_train_nlls)),
-                    joint_train_nlls=list(map(cut, m.joint_train_nlls)))
-    return aurocs, ToyDiagnostics(fit.projection, model, class_points,
-                                  ood[:TOY_FIGURE_ROWS].copy(), train.feature_names)
+    class_points = [train.features[np.flatnonzero(train.class_label == c)[:TOY_FIGURE_ROWS]]
+                    for c in (0, 1)]
+    return ToyDiagnostics(fit.projection, fit.model, class_points,
+                          fit.ood[:TOY_FIGURE_ROWS].copy(), fit.feature_names)
 
 
 def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
@@ -513,15 +527,23 @@ def cmd_toy(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if cfg.k == 0:
         cfg.k = 2
+    # the figures draw the raw rows as points of a plane
+    if cfg.source == "csv" and (d := load_dataset(cfg, cfg.seeds[0]).n_features) != 2:
+        raise DimensionMismatch(f"toy draws 2 raw features; the data have {d}")
 
     # one seed's fit at a time: each seed keeps only its AUROCs, the first
     # also its diagnostics; every file is written once all seeds are scored
     per_seed, diag = {a: [] for a in TOY_APPROACHES}, None
     for seed in cfg.seeds:
-        aurocs, found = _toy_seed(cfg, seed, diagnose=diag is None)
-        diag = diag or found
-        for a, score in zip(TOY_APPROACHES, aurocs):
-            per_seed[a].append(score)
+        fit = fit_pipeline(cfg, seed, keep_train=diag is None)
+        if diag is None:  # the figure rows are all that toy reads of the train rows
+            diag, fit = _toy_diagnostics(fit), replace(fit, train=None)
+        ln, ld, mah, marg = _seed_scores(fit)
+        ood = fit.ood_flag
+        for a, score in zip(TOY_APPROACHES, (mah, marg, ln + ld)):
+            per_seed[a].append(auroc(-score[~ood], -score[ood]))
+        # nothing of this seed may be alive while the next one is fitted
+        del fit, ood, ln, ld, mah, marg, score
 
     rows = [(a, seed, score) for a in TOY_APPROACHES
             for seed, score in zip(cfg.seeds, per_seed[a])]
@@ -553,20 +575,19 @@ class SeedRun:
     """A seed's fit and what all its variants share."""
 
     fit: PipelineFit
-    ood: np.ndarray        # the OOD test rows
-    targets: np.ndarray    # their density-based targets, CFI's included
+    targets: np.ndarray    # density-based targets of its OOD rows, CFI's included
     id_scores: np.ndarray  # -l_total of the ID test rows
 
 
 def _cfi_results(cfg: RunConfig, runs: dict) -> dict:
     """(seed, "cfi") -> results, from one lock-step training and one descent;
     CFI iterates in the classifier's own space and writes no trajectories."""
-    id_train = [run.fit.train.id_rows() for run in runs.values()]
-    classifiers = train_softmax_classifier([(t.features, t.class_label) for t in id_train],
-                                           list(runs))
-    counts = [len(run.ood) for run in runs.values()]
+    classifiers = train_softmax_classifier(
+        [(run.fit.train.features, run.fit.train.class_label) for run in runs.values()],
+        list(runs))
+    counts = [len(run.fit.ood) for run in runs.values()]
     results = iter(batch_generate(
-        np.vstack([run.ood for run in runs.values()]), variant="cfi",
+        np.vstack([run.fit.ood for run in runs.values()]), variant="cfi",
         classifiers=classifiers, classifier_ids=np.repeat(np.arange(len(runs)), counts),
         cfi_cfg=cfg.cfi(), targets=np.concatenate([run.targets for run in runs.values()]),
         record=False))
@@ -581,10 +602,9 @@ def cmd_run(cfg: RunConfig) -> int:
     runs: dict[int, SeedRun] = {}
     for seed in dict.fromkeys(cfg.seeds):
         with seed_prefix(seed):
-            fit = fit_pipeline(cfg, seed)
-            ood = fit.test.ood_rows().features
-            ln, ld = ood_scores(fit.model, fit.Z_eval)
-            runs[seed] = SeedRun(fit, ood, select_target(fit.model, fit.projection, ood),
+            fit = fit_pipeline(cfg, seed, keep_train="cfi" in cfg.variants)
+            ln, ld = ood_scores(fit.model, fit.Z_test[~fit.ood_flag])
+            runs[seed] = SeedRun(fit, select_target(fit.model, fit.projection, fit.ood),
                                  -(ln + ld))
     results_cache: dict[tuple[int, str], list] = {}
 
@@ -599,7 +619,7 @@ def cmd_run(cfg: RunConfig) -> int:
             run = runs[seed]
             if (seed, variant) not in results_cache:
                 results_cache[seed, variant] = batch_generate(
-                    run.ood, variant=variant, model=run.fit.model,
+                    run.fit.ood, variant=variant, model=run.fit.model,
                     projection=run.fit.projection, cfg=cfg.generation(),
                     targets=run.targets, record=cfg.emit_trajectories)
             return evaluate_run(results_cache[seed, variant], run.id_scores, run.fit.model,
@@ -631,7 +651,7 @@ def cmd_run(cfg: RunConfig) -> int:
     for seed, run in runs.items():
         fit = run.fit
         write_partition(out / f"partition_seed{seed}.csv", fit.partition, cfg)
-        names = fit.train.feature_names
+        names = fit.feature_names
         header = (["row_id", "variant", "target_class", "error",
                    "non_dis_before", "dis_before", "non_dis_after", "dis_after"]
                   + [f"orig_{n}" for n in names] + [f"cf_{n}" for n in names]
@@ -648,7 +668,7 @@ def cmd_run(cfg: RunConfig) -> int:
                            approach_names[variant])
                 for variant in cfg.variants if variant != "cfi")
             write_csv(out / f"trajectories_seed{seed}.csv",
-                      _traj_header(fit.train.feature_names), traj_rows, cfg)
+                      _traj_header(names), traj_rows, cfg)
     return 0
 
 
@@ -663,29 +683,20 @@ def cmd_partition(cfg: RunConfig) -> int:
     return 0
 
 
-def _score_columns(cfg: RunConfig) -> tuple:
-    """The columns of scores.csv for the first seed's test rows; the fit dies
-    with the call, so only these arrays reach the write."""
-    fit = fit_pipeline(cfg, cfg.seeds[0])
-    test = fit.test
-    Z = project(fit.projection, test.features)
-    ln, ld = ood_scores(fit.model, Z)
-    mah = MahalanobisScorer.fit(fit.model).score(Z)
-    marg = MarginalMahalanobisScorer.fit(fit.moments).score(Z)
-    return (np.arange(test.n_rows), ln, ld, ln + ld, mah, marg,
-            test.ood_flag.astype(int))
-
-
 def cmd_score(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.source == "toy" and cfg.k == 0:
         cfg.k = 2
-    columns = _score_columns(cfg)
+    fit = fit_pipeline(cfg, cfg.seeds[0])
+    ln, ld, mah, marg = _seed_scores(fit)
+    flags = fit.ood_flag.astype(int)
+    del fit  # only the score columns reach the write
     write_csv(out / "scores.csv",
               ["row_id", "l_n", "l_d", "l_total", "mahalanobis",
-               "marginal_mahalanobis", "ood_flag"], _column_rows(*columns), cfg)
-    print(f"wrote {len(columns[0])} score rows to {out / 'scores.csv'}")
+               "marginal_mahalanobis", "ood_flag"],
+              _column_rows(np.arange(len(ln)), ln, ld, ln + ld, mah, marg, flags), cfg)
+    print(f"wrote {len(ln)} score rows to {out / 'scores.csv'}")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,7 @@ class LabeledDataset:
         if self.features.shape[0] != self.ood_flag.shape[0]:
             raise DimensionMismatch("features and ood_flag row counts differ")
         id_labels = self.class_label[~self.ood_flag]
-        if id_labels.size and (id_labels.min() < 0 or id_labels.max() >= self.n_classes):
+        if id_labels.size and (id_labels.min() < 0 or not np.bincount(id_labels).all()):
             raise UnknownClass("ID class labels must be contiguous from 0")
 
     @property
@@ -176,14 +177,15 @@ def load_csv(path, label_column: str) -> RawTable:
             raise MalformedFile(f"{path}: duplicate column names in header")
         if label_column not in header:
             raise MissingColumn(f"{path}: label column {label_column!r} not in header {header}")
-        rows = []
+        # each row's floats go straight into one C double buffer; no Python
+        # float outlives its row
+        values = array("d")
         for lineno, raw in enumerate(reader, start=2):
             if not raw or (len(raw) == 1 and raw[0].strip() == ""):
                 continue  # tolerate trailing blank lines
             if len(raw) != len(header):
                 raise MalformedFile(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}")
-            parsed = []
             for name, cell in zip(header, raw):
                 cell = cell.strip()
                 if cell == "":
@@ -196,9 +198,8 @@ def load_csv(path, label_column: str) -> RawTable:
                 if not math.isfinite(value):
                     raise MalformedFile(
                         f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}")
-                parsed.append(value)
-            rows.append(parsed)
-    matrix = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
+                values.append(value)
+    matrix = np.frombuffer(values, dtype=float).reshape(-1, len(header))
     return RawTable(column_names=header, rows=matrix, label_column=label_column)
 
 
@@ -268,18 +269,16 @@ def make_toy(n_per_class: int, n_ood: int, seed: int) -> LabeledDataset:
     OOD Gaussian at (0, 2) with covariance 0.3*I."""
     if n_per_class < 1 or n_ood < 1:
         raise OutOfRange("toy counts must be >= 1")
+    # each block is drawn straight into its rows of the one feature matrix
+    features = np.empty((2 * n_per_class + n_ood, 2))
     gen = rng.generator(seed, stream=0)
-    blocks = [rng.normal(gen, mean, np.sqrt(TOY_CLASS_VAR), (n_per_class, 2))
-              for mean in TOY_CLASS_MEANS]
-    blocks.append(rng.normal(gen, TOY_OOD_MEAN, np.sqrt(TOY_OOD_VAR), (n_ood, 2)))
-    features = np.vstack(blocks)
-    class_label = np.concatenate([
-        np.zeros(n_per_class, dtype=int),
-        np.ones(n_per_class, dtype=int),
-        np.full(n_ood, OOD_LABEL, dtype=int),
-    ])
-    ood_flag = np.concatenate([
-        np.zeros(2 * n_per_class, dtype=bool), np.ones(n_ood, dtype=bool)])
+    for c, mean in enumerate(TOY_CLASS_MEANS):
+        rng.normal(gen, mean, np.sqrt(TOY_CLASS_VAR), (n_per_class, 2),
+                   out=features[c * n_per_class:(c + 1) * n_per_class])
+    rng.normal(gen, TOY_OOD_MEAN, np.sqrt(TOY_OOD_VAR), (n_ood, 2),
+               out=features[2 * n_per_class:])
+    class_label = np.repeat(np.array([0, 1, OOD_LABEL]), [n_per_class, n_per_class, n_ood])
+    ood_flag = class_label == OOD_LABEL
     return LabeledDataset(
         features=features,
         class_label=class_label,
@@ -289,14 +288,9 @@ def make_toy(n_per_class: int, n_ood: int, seed: int) -> LabeledDataset:
     )
 
 
-def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified ID split; every OOD row goes to the test side.
-
-    Per ID class, floor(train_fraction * n_c) rows train. Deterministic in
-    spec.seed.
-    """
-    if ds.n_rows == 0:
-        raise EmptyPartition("cannot split an empty dataset")
+def _train_mask(ds: LabeledDataset, spec: SplitSpec) -> np.ndarray:
+    """Rows that train: floor(train_fraction * n_c) of each ID class c, drawn
+    by a permutation deterministic in spec.seed."""
     gen = rng.generator(spec.seed, stream=1)
     train_mask = np.zeros(ds.n_rows, dtype=bool)
     for c in range(ds.n_classes):
@@ -307,10 +301,28 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
         n_train = int(np.floor(spec.train_fraction * members.size))
         n_train = min(max(n_train, 1), members.size - 1)  # both sides non-empty
         train_mask[order[:n_train]] = True
+    return train_mask
 
-    def take(mask):
-        return LabeledDataset(
-            ds.features[mask], ds.class_label[mask], ds.ood_flag[mask],
-            ds.feature_names, ds.provenance)
 
-    return take(train_mask), take(~train_mask)
+def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
+    """Stratified ID split (see `_train_mask`); every OOD row goes to the
+    test side.
+
+    Each source column is let go once both of its copies exist, so a source
+    that only this call holds never lives whole next to both splits.
+    """
+    if ds.n_rows == 0:
+        raise EmptyPartition("cannot split an empty dataset")
+    train_mask = _train_mask(ds, spec)
+    test_mask = ~train_mask
+    names, provenance = ds.feature_names, ds.provenance
+    columns = [ds.class_label, ds.ood_flag, ds.features]
+    del ds
+    sides = ([], [])
+    while columns:
+        column = columns.pop(0)
+        sides[0].append(column[train_mask])
+        sides[1].append(column[test_mask])
+        del column
+    return tuple(LabeledDataset(x, labels, flags, names, provenance)
+                 for labels, flags, x in sides)

@@ -78,6 +78,7 @@ def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: Cla
         joint_per_class.append(moments.gaussian(range(partition.k), c))
         dis_nlls.append(dis_per_class[c].nll(rows[:, zd]))
         joint_nlls.append(joint_per_class[c].nll(rows))
+        del rows  # one class's rows at a time
 
     return PartitionDensityModel(
         non_dis=non_dis,

@@ -92,11 +92,15 @@ def _factor(means: np.ndarray, covs: np.ndarray):
 
 def _mean_entropy(lj: np.ndarray) -> np.ndarray:
     """Mean over the eval rows of the posterior entropy (bits, 0*log0 -> 0)
-    from log joints shaped (..., n, C)."""
-    P = np.exp(lj - lj.max(axis=-1, keepdims=True))
+    from log joints shaped (..., n, C), which it overwrites: each step takes
+    the buffer of the one before."""
+    P = np.subtract(lj, lj.max(axis=-1, keepdims=True), out=lj)
+    np.exp(P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(P > 0.0, P * np.log2(P), 0.0)
+        terms = np.log2(P)
+        terms *= P
+    terms[~(P > 0.0)] = 0.0
     return -terms.sum(axis=-1).mean(axis=-1)
 
 
@@ -138,12 +142,18 @@ def _schur_step(q, ld, R, V, log_priors):
     with np.errstate(over="ignore", invalid="ignore"):
         p = V[:, :, 0, :1]                                             # pivots, (B, C, 1)
         r = R[:, :, 0]                                                 # (B, C, n)
-        q = q + r * r / p
+        # each (B, C, n) step writes into a buffer of its own
+        grown = r * r
+        grown /= p
+        q = np.add(grown, q, out=grown)
         ld = ld + np.log(p[..., 0])
         # the c log(2 pi) term is common to all classes and cancels
-        h = _mean_entropy(np.swapaxes(log_priors[:, None] - 0.5 * (ld[..., None] + q), 1, 2))
+        lj = ld[..., None] + q
+        lj *= 0.5
+        h = _mean_entropy(np.swapaxes(np.subtract(log_priors[:, None], lj, out=lj), 1, 2))
         g = (V[:, :, 0, 1:] / p)[..., None]                            # (B, C, w-1, 1)
-        return (h, q, ld, R[:, :, 1:] - g * r[:, :, None],
+        gr = g * r[:, :, None]
+        return (h, q, ld, np.subtract(R[:, :, 1:], gr, out=gr),
                 V[:, :, 1:, 1:] - g * V[:, :, None, 0, 1:])
 
 

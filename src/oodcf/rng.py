@@ -21,25 +21,35 @@ def generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (stream << 32)))
 
 
-def standard_normal(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n standard-normal draws via Box-Muller on Philox uniforms."""
+def standard_normal(gen: np.random.Generator, n: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """n standard-normal draws via Box-Muller on Philox uniforms, written
+    into `out` (n contiguous floats) when given."""
     pairs = (n + 1) // 2
-    # random() is in [0, 1); flip to (0, 1] so the log is finite.
-    u1 = 1.0 - gen.random(pairs)
-    u2 = gen.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:n]
+    # random() is in [0, 1); flip to (0, 1] so the log is finite. The radius
+    # and the angle are computed in the buffers of their own draws.
+    r = gen.random(pairs)
+    np.subtract(1.0, r, out=r)
+    theta = gen.random(pairs)
+    np.sqrt(np.multiply(-2.0, np.log(r, out=r), out=r), out=r)
+    np.multiply(2.0 * np.pi, theta, out=theta)
+    out = np.empty(n) if out is None else out
+    trig = np.cos(theta)
+    np.multiply(r, trig, out=out[0::2])
+    np.sin(theta, out=trig)
+    np.multiply(r[:n // 2], trig[:n // 2], out=out[1::2])
+    return out
 
 
-def normal(gen: np.random.Generator, mean, std, size: tuple[int, int]) -> np.ndarray:
-    """Gaussian matrix with per-column mean and shared scalar std."""
+def normal(gen: np.random.Generator, mean, std, size: tuple[int, int],
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Gaussian matrix with per-column mean and shared scalar std, written
+    into `out` (a C-contiguous array of shape `size`) when given."""
     n, d = size
-    g = standard_normal(gen, n * d).reshape(n, d)
-    return np.asarray(mean) + std * g
+    g = standard_normal(gen, n * d, None if out is None else out.reshape(-1)).reshape(n, d)
+    g *= std
+    g += np.asarray(mean)
+    return g
 
 
 def permutation(gen: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodcf import cli
+from oodcf import cli, dataset
 from oodcf.counterfactual import PhaseTrace, batch_generate, train_softmax_classifier
 from oodcf.dataset import OodRule
 from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
@@ -207,7 +207,7 @@ class TestScoreCommand:
         cfg = cli.build_config(cli.make_parser().parse_args([str(a) for a in argv]))
         cfg.k = 2
         fit = cli.fit_pipeline(cfg, 0)
-        test = fit.test
+        _, test = dataset.split(dataset.make_toy(300, 200, 0), dataset.SplitSpec(0.8, 0))
         Z = project(fit.projection, test.features)
         ln, ld = ood_scores(fit.model, Z)
         mah = MahalanobisScorer.fit(fit.model).score(Z)
@@ -255,6 +255,17 @@ class TestBadInputExitCodes:
         assert record["error"] == "MalformedFile"
         assert "byte 0xe9 at offset 3" in record["message"]
         assert not (out / "scores.csv").exists()
+
+    def test_toy_refuses_a_source_without_two_features(self, tmp_path, capsys):
+        # the figures draw raw rows as points of a plane; wine has 13 features
+        out = tmp_path / "t"
+        code = run_cli(["toy", "--data", WINE, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--seeds", "1,2", "--out", out])
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DimensionMismatch"
+        assert "13" in record["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     def test_missing_data_file(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
@@ -556,9 +567,9 @@ class TestTrajRowsAgainstOracle:
         cfg = (cli.RunConfig(n_per_class=300, n_ood=30, k=2) if source == "toy" else
                cli.RunConfig(source="csv", data_path=str(WINE), label_col="target",
                              ood_rule="class_equals:2"))
-        fit = cli.fit_pipeline(cfg, 0)
+        fit = cli.fit_pipeline(cfg, 0, keep_train=True)
         # ID rows start below their thresholds: they give one-point traces
-        X = np.concatenate([fit.test.ood_rows().features, fit.test.id_rows().features[:20]])
+        X = np.concatenate([fit.ood, fit.train.features[:20]])
         targets = np.arange(len(X)) % 2
         for variant in ("full", "sg", "sn", "sd"):
             results = batch_generate(X, variant=variant, model=fit.model,
@@ -577,8 +588,8 @@ class TestTrajRowsAgainstOracle:
 
     def test_no_traces_give_no_rows(self):
         cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
-        fit = cli.fit_pipeline(cfg, 0)
-        ood = fit.test.ood_rows().features
+        fit = cli.fit_pipeline(cfg, 0, keep_train=True)
+        ood = fit.ood
         clf = train_softmax_classifier(
             [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
         cfi = batch_generate(ood, variant="cfi", classifiers=clf,
@@ -738,8 +749,8 @@ def _oracle_counterfactual_rows(results, variant):
 def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
     # an UnknownClass error cell holds "not in [0, 2)": its comma must be quoted
     cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
-    fit = cli.fit_pipeline(cfg, 0)
-    ood = fit.test.ood_rows().features
+    fit = cli.fit_pipeline(cfg, 0, keep_train=True)
+    ood = fit.ood
     targets = np.where(np.arange(len(ood)) % 3 == 0, 5, np.arange(len(ood)) % 2)
     clf = train_softmax_classifier(
         [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
@@ -749,7 +760,7 @@ def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
                                    cfi_cfg=cfg.cfi(), targets=targets, record=False)),
             ("empty", [])]
     assert any(r.failed for r in runs[0][1]) and not all(r.failed for r in runs[0][1])
-    header = [f"c{j}" for j in range(8 + 3 * fit.train.n_features)]
+    header = [f"c{j}" for j in range(8 + 3 * len(fit.feature_names))]
     got = [row for name, results in runs for row in cli._counterfactual_rows(results, name)]
     want = [row for name, results in runs for row in _oracle_counterfactual_rows(results, name)]
     assert [list(row) for row in got] == want
@@ -781,12 +792,13 @@ ROW_COUNTS = (0, 1, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1,
 
 
 def _score_like_columns(n):
-    """Columns shaped like `_score_columns`' with floats of every print form."""
+    """`_seed_scores`-like columns with floats of every print form, and OOD flags."""
     gen = np.random.default_rng(n)
-    floats = [gen.normal(size=n) * 10.0 ** gen.integers(-320, 300, size=n) for _ in range(5)]
-    for col, special in zip(floats, (np.nan, np.inf, -np.inf, -0.0, 5e-324)):
+    floats = [gen.normal(size=n) * 10.0 ** gen.integers(-320, 300, size=n) for _ in range(4)]
+    for col, special in zip(floats, (np.nan, np.inf, -np.inf, 5e-324)):
         col[::7] = special
-    return (np.arange(n), *floats, (gen.random(n) < 0.5).astype(int))
+    floats[0][3::7] = -0.0
+    return floats, gen.random(n) < 0.5
 
 
 def _unchunked_traj_rows(model, projection, results, variant):
@@ -816,12 +828,15 @@ class TestStreamedRows:
 
     @pytest.mark.parametrize("n", ROW_COUNTS)
     def test_scores_csv(self, tmp_path, monkeypatch, capsys, n):
-        columns = _score_like_columns(n)
-        monkeypatch.setattr(cli, "_score_columns", lambda cfg: columns)
+        (ln, ld, mah, marg), flags = _score_like_columns(n)
+        monkeypatch.setattr(cli, "fit_pipeline",
+                            lambda cfg, seed: types.SimpleNamespace(ood_flag=flags))
+        monkeypatch.setattr(cli, "_seed_scores", lambda fit: (ln, ld, mah, marg))
         argv = ["score", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         cfg = cli.build_config(cli.make_parser().parse_args(argv))
         cfg.k = 2
+        columns = (np.arange(n), ln, ld, ln + ld, mah, marg, flags.astype(int))
         want = _csv_writer_bytes(SCORE_HEADER, zip(*[c.tolist() for c in columns]), cfg)
         assert (tmp_path / "scores.csv").read_bytes() == want
         assert capsys.readouterr().out.startswith(f"wrote {n} score rows")
@@ -840,7 +855,7 @@ class TestStreamedRows:
             PhaseTrace(("non_dis", "dis", "joint")[i % 3], gen.normal(size=(m, 2)) * 3,
                        np.zeros(m), None, m - 1)]) for i, m in enumerate(lengths)]
         results.append(types.SimpleNamespace(target_class=1, trajectories=[]))
-        header = cli._traj_header(fit.train.feature_names)
+        header = cli._traj_header(fit.feature_names)
         cli.write_csv(tmp_path / "t.csv", header,
                       cli._traj_rows(fit.model, fit.projection, results, "OOD CF"), cfg)
         want = _unchunked_traj_rows(fit.model, fit.projection, results, "OOD CF")
@@ -880,3 +895,19 @@ class TestOneSeedAtATime:
         score = _traced_peak(lambda: run_cli(["score", *TOY_2E4, "--seeds", "0",
                                               "--out", tmp_path / "s"]))
         assert score <= 1.35 * fit
+
+
+TABLE_2E4_BYTES = 3 * 20000 * 25  # the toy table at TOY_2E4: 16 B features, 8 B label, 1 B flag
+
+
+class TestLeanSeedFit:
+    """A seed's fit and scoring hold no whole-table array past its last
+    reader: one `toy` seed and `score` each peak within 2.5 times the
+    bytes of the generated table."""
+
+    @pytest.mark.parametrize("command", ["toy", "score"])
+    def test_peak_within_table_multiple(self, tmp_path, capsys, command):
+        run_cli([command, "--n-per-class", "200", "--seeds", "0", "--out", tmp_path / "warm"])
+        peak = _traced_peak(lambda: run_cli([command, *TOY_2E4, "--seeds", "0",
+                                             "--out", tmp_path / "t"]))
+        assert peak <= 2.5 * TABLE_2E4_BYTES

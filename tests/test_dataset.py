@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestLoadCsv:
         missing = tmp_path / "absent.csv"
         with pytest.raises(DataError, match="absent.csv"):
             dataset.load_csv(missing, "label")
+
+    def test_peak_within_twice_the_matrix(self, tmp_path):
+        # no Python float per cell outlives its row
+        gen = np.random.default_rng(0)
+        rows = gen.normal(size=(20000, 14)) * 10.0 ** gen.integers(-5, 5, size=(20000, 14))
+        path = tmp_path / "wide.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"c{j}" for j in range(14)) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        tracemalloc.start()
+        try:
+            table = dataset.load_csv(path, "c0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table.rows, rows)
+        assert peak <= 2 * rows.nbytes
 
     def test_non_utf8_byte_is_malformed(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -202,6 +220,8 @@ BAD_DATASETS = {
     "flag_rows": ((np.zeros((3, 2)), np.zeros(3, int), np.zeros(4, bool)), DimensionMismatch),
     "negative_id_label": ((np.zeros((3, 2)), np.array([0, -1, 1]), np.zeros(3, bool)),
                           UnknownClass),
+    "gap_in_id_labels": ((np.zeros((2, 2)), np.array([0, 2]), np.zeros(2, bool)),
+                         UnknownClass),
 }
 
 
@@ -226,6 +246,18 @@ class TestLabeledDatasetChecks:
 
 
 class TestSplit:
+    def test_a_source_only_split_holds_is_let_go_column_by_column(self):
+        # the loaded table never lives whole next to both of its splits
+        n = 20000
+        dataset.split(dataset.make_toy(10, 10, 0), dataset.SplitSpec(0.8, 0))  # warm-up
+        tracemalloc.start()
+        try:
+            dataset.split(dataset.make_toy(n, n, 0), dataset.SplitSpec(0.8, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * (3 * n * 25)  # features 16 B, label 8 B, flag 1 B a row
+
     def test_fraction_arithmetic(self):
         ds = two_class_dataset(50, 50)
         train, test = dataset.split(ds, dataset.SplitSpec(0.8, 0))
