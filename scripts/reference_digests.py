@@ -8,12 +8,16 @@ and one `sha256  NAME/stdout` line per command, all sorted by path. Every
 output file embeds the resolved config, `--out` included, and `score`
 prints its output path, so two checkouts compare equal only when both are
 run with the same OUTROOT string: run one, save its lines, clear OUTROOT,
-run the other, and diff. The commands run from the repository root on the
-`src/` next to this script, one interpreter each, with single-threaded BLAS.
+run the other, and diff; `--compare SAVED` does that diff, prints the
+differing lines to stderr and exits 1 on any difference. The commands run
+from the repository root on the `src/` next to this script, one
+interpreter each, with single-threaded BLAS.
 
-Usage: python scripts/reference_digests.py OUTROOT
+Usage: python scripts/reference_digests.py OUTROOT [--compare SAVED]
 """
 
+import argparse
+import difflib
 import hashlib
 import os
 import subprocess
@@ -55,7 +59,21 @@ def run_all(outroot: Path) -> list[str]:
     return [f"{digests[name]}  {name}" for name in sorted(digests)]
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 of every reference output")
+    parser.add_argument("outroot", type=Path)
+    parser.add_argument("--compare", type=Path, metavar="SAVED",
+                        help="digest lines saved from an earlier run to diff against")
+    args = parser.parse_args(argv)
+    lines = run_all(args.outroot)
+    print("\n".join(lines))
+    if args.compare is None:
+        return 0
+    diff = list(difflib.unified_diff(args.compare.read_text().splitlines(), lines,
+                                     str(args.compare), "this run", lineterm=""))
+    sys.stderr.write("".join(line + "\n" for line in diff))
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit(__doc__)
-    print("\n".join(run_all(Path(sys.argv[1]))))
+    sys.exit(main())

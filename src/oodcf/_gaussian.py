@@ -105,13 +105,6 @@ class GaussianComponent:
         """
         return 0.5 * (self.dim * LOG_2PI + self.log_det + self.mahalanobis_sq(z))
 
-    def grad_nll(self, z: np.ndarray) -> np.ndarray:
-        """Gradient of the NLL at z: Sigma^{-1} (z - mean) = L^-T L^-1 (z - mean),
-        the product the descent engine takes row by row."""
-        z = self._check(z)
-        y = np.einsum("ij,...j->...i", self.chol_inv, z - self.mean)
-        return np.einsum("ji,...j->...i", self.chol_inv, y)
-
     def mahalanobis_sq(self, z: np.ndarray):
         """(z - mean)^T Sigma^{-1} (z - mean); vector or batch. A batch is
         whitened `_ROW_CHUNK` rows at a time, so its temporaries stay small."""
@@ -122,11 +115,6 @@ class GaussianComponent:
             chunk = slice(start, start + _ROW_CHUNK)
             quad[chunk] = whitened_sq(self.chol, (rows[chunk] - self.mean).T)
         return float(quad[0]) if z.ndim == 1 else quad
-
-    @property
-    def mode_nll(self) -> float:
-        """NLL at the mean: 0.5 * (m log 2pi + log|Sigma|)."""
-        return 0.5 * (self.dim * LOG_2PI + self.log_det)
 
 
 @dataclass(frozen=True)

@@ -342,57 +342,64 @@ def _provenance(cfg: RunConfig) -> str:
     return json.dumps(cfg.resolved(), sort_keys=True, separators=(",", ":"))
 
 
-_CSV_CHUNK_ROWS = 256  # tens of kB of text: streamed tables stay out of memory
+_CSV_CHUNK_ROWS = 2048  # rows of a column chunk: its text takes under 1 MB
 
 
-def _column_rows(*columns):
-    """Lazy rows of equal-length 1-d numpy `columns`, `.tolist()` on
-    `_CSV_CHUNK_ROWS` rows of each at a time: every cell is a Python scalar
-    that prints by repr, and no column is ever whole as Python objects."""
-    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        yield from zip(*[c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns])
+class Columns(tuple):
+    """A chunk of a table's rows as equal-length 1-d numpy columns, one per
+    field: floats print as repr, integers as str, and other values as the
+    str of each value, csv-quoted."""
 
 
-def _plain_csv(rows: list, line: str, width: int) -> str | None:
-    """`rows` as csv text by one `line` format per row, or None when a row
-    is not a `width`-tuple or a cell might need csv quoting or prints
-    differently. csv prints every non-str, non-None cell by str(), as `%s`
-    does; it prints None as an empty field, and `write_csv` has it quote a
-    lone empty field and a cell holding a comma, quote, LF or CR."""
-    if width < 2:
-        return None
-    try:
-        text = "".join([line % row for row in rows])
-    except (TypeError, ValueError):
-        return None
-    n = len(rows)
-    if (text.count("\n") != n or text.count(",") != n * (width - 1)
-            or '"' in text or "\r" in text or "None" in text):
-        return None
-    return text
+def _field(text: str) -> str:
+    """`text` as a field of `write_csv`: quoted where it holds a comma,
+    quote, LF or CR."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n\r') else text
+
+
+def _cell_text(column: np.ndarray) -> np.ndarray:
+    """The cells of `column` as the rows of a uint8 matrix with NULs to drop."""
+    # imported here: a command that writes no column chunk never compiles it
+    from ._numtext import float_text, int_text
+    if column.dtype.kind == "f":
+        return float_text(column)
+    if column.dtype.kind == "i":
+        return int_text(column)
+    values, inverse = np.unique(column, return_inverse=True)
+    cells = np.array([_field(str(v)).encode() for v in values.tolist()])
+    return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)[inverse]
+
+
+def _chunk_lines(chunk: Columns):
+    """The csv lines of `chunk` as bytes, a few hundred at a time: made
+    column by column, no Python object per cell."""
+    n = len(chunk[0])
+    comma, newline = (np.full((n, 1), ord(c), dtype=np.uint8) for c in ",\n")
+    parts = [part for column in chunk for part in (_cell_text(column), comma)]
+    parts[-1] = newline
+    for start in range(0, n, 512):
+        block = np.concatenate([part[start:start + 512] for part in parts], axis=1)
+        yield block.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header, rows, cfg: RunConfig):
     """The provenance line, the header and `rows`, byte for byte as
     `csv.writer` writes them with LF line ends, except that a cell holding
-    a CR is quoted too (it would read back as a line break otherwise);
-    chunks of plain rows skip its per-cell work."""
-    width = len(header)
-    line = ",".join(["%s"] * width) + "\n"
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config: {_provenance(cfg)}\n")
+    a CR is quoted too (it would read back as a line break otherwise).
+    `rows` yields rows, or `Columns` chunks, which print as the rows of
+    their columns' `.tolist()` would."""
+    with open(path, "wb") as fh:
+        fh.write(f"# config: {_provenance(cfg)}\n".encode())
         # with a CRLF line terminator csv quotes a cell holding a bare CR too;
         # `writerow` hands over each row in one write, which ends it in LF
-        lf_rows = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        lf_rows = types.SimpleNamespace(write=lambda row: fh.write(f"{row[:-2]}\n".encode()))
         writer = csv.writer(lf_rows, lineterminator="\r\n")
         writer.writerow(header)
-        while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-            text = _plain_csv(chunk, line, width)
-            if text is None:
-                writer.writerows(chunk)
+        for row in rows:
+            if isinstance(row, Columns):
+                fh.writelines(_chunk_lines(row))
             else:
-                fh.write(text)
+                writer.writerow(row)
 
 
 def write_json(path, payload: dict, cfg: RunConfig):
@@ -425,26 +432,32 @@ def print_partition(part: Partition):
 
 
 def _traj_rows(model, projection: ProjectionModel, results, variant):
-    """Lazy rows of every trace of `results`, step by step: one projection
-    and one NLL solve per Gaussian over all traces, streamed by
-    `_column_rows`."""
+    """Every trace of `results`, step by step, as `Columns` chunks: one
+    projection and one NLL solve per Gaussian over all traces. Of the id,
+    phase and step columns only each row's trace index is whole."""
     found = [(i, res.target_class if res.target_class is not None else 0, trace)
              for i, res in enumerate(results) for trace in res.trajectories]
     if not found:
         return iter(())
     ids, targets, traces = zip(*found)
+    ids, targets = np.array(ids), np.array(targets)
     lengths = [trace.points.shape[0] for trace in traces]
+    of_row, starts = np.repeat(np.arange(len(traces)), lengths), np.cumsum(lengths) - lengths
     U = np.concatenate([trace.points for trace in traces])
     Z = U @ projection.loadings
-    ln = model.non_dis.nll(Z[:, list(model.partition.z_n)])
-    target, ld = np.repeat(targets, lengths), np.empty(len(U))
-    for c in set(targets):
-        rows = target == c
+    ln, ld = model.non_dis.nll(Z[:, list(model.partition.z_n)]), np.empty(len(U))
+    for c in set(targets.tolist()):
+        rows = targets[of_row] == c
         ld[rows] = model.dis_per_class[c].nll(Z[rows][:, list(model.partition.z_d)])
-    step = np.arange(len(U)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return _column_rows(np.repeat(ids, lengths), np.broadcast_to(np.array(variant), len(U)),
-                        np.repeat([trace.phase for trace in traces], lengths),
-                        step, *U.T, ln, ld)
+    phases = np.array([trace.phase for trace in traces])
+
+    def chunks():
+        for start in range(0, len(U), _CSV_CHUNK_ROWS):
+            rows = np.arange(start, min(start + _CSV_CHUNK_ROWS, len(U)))
+            trace = of_row[rows]
+            yield Columns((ids[trace], np.full(len(rows), variant), phases[trace],
+                           rows - starts[trace], *U[rows].T, ln[rows], ld[rows]))
+    return chunks()
 
 
 def _counterfactual_rows(results, variant):
@@ -522,11 +535,17 @@ def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
                       _traj_rows(diag.model, projection, [res], "full"), cfg)
 
 
+def _toy_k(cfg: RunConfig):
+    """`toy`, `partition` and `score` record the toy source's k = 0 as its
+    two latents; any other source keeps k = 0, one latent per feature."""
+    if cfg.source == "toy" and cfg.k == 0:
+        cfg.k = 2
+
+
 def cmd_toy(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.k == 0:
-        cfg.k = 2
+    _toy_k(cfg)
     # the figures draw the raw rows as points of a plane
     if cfg.source == "csv" and (d := load_dataset(cfg, cfg.seeds[0]).n_features) != 2:
         raise DimensionMismatch(f"toy draws 2 raw features; the data have {d}")
@@ -675,8 +694,7 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_partition(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.source == "toy" and cfg.k == 0:
-        cfg.k = 2
+    _toy_k(cfg)
     fit = fit_pipeline(cfg, cfg.seeds[0])
     print_partition(fit.partition)
     write_partition(out / "partition.csv", fit.partition, cfg)
@@ -686,16 +704,17 @@ def cmd_partition(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.source == "toy" and cfg.k == 0:
-        cfg.k = 2
+    _toy_k(cfg)
     fit = fit_pipeline(cfg, cfg.seeds[0])
     ln, ld, mah, marg = _seed_scores(fit)
     flags = fit.ood_flag.astype(int)
     del fit  # only the score columns reach the write
+    columns = (np.arange(len(ln)), ln, ld, ln + ld, mah, marg, flags)
     write_csv(out / "scores.csv",
               ["row_id", "l_n", "l_d", "l_total", "mahalanobis",
                "marginal_mahalanobis", "ood_flag"],
-              _column_rows(np.arange(len(ln)), ln, ld, ln + ld, mah, marg, flags), cfg)
+              (Columns(c[start:start + _CSV_CHUNK_ROWS] for c in columns)
+               for start in range(0, len(ln), _CSV_CHUNK_ROWS)), cfg)
     print(f"wrote {len(ln)} score rows to {out / 'scores.csv'}")
     return 0
 

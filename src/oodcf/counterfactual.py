@@ -501,15 +501,6 @@ def generate(x, model: PartitionDensityModel, projection: ProjectionModel,
     return _one_row(x, "full", model=model, projection=projection, cfg=cfg)
 
 
-def generate_ablation(x, model: PartitionDensityModel, projection: ProjectionModel,
-                      cfg: GenerationConfig, variant: str) -> CounterfactualResult:
-    """Ablations: sg = one phase on a joint class-conditional Gaussian over
-    all latent dims; sn = only the non-dis step; sd = only the dis step."""
-    if variant not in ("sg", "sn", "sd"):
-        raise OutOfRange(f"unknown ablation variant {variant!r}")
-    return _one_row(x, variant, model=model, projection=projection, cfg=cfg)
-
-
 # -- CFI baseline ------------------------------------------------------------
 
 @dataclass(frozen=True)

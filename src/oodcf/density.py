@@ -91,13 +91,8 @@ def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: Cla
     )
 
 
-def nll_dis(model: PartitionDensityModel, z_d: np.ndarray, target: int | None = None):
-    """NLL under the class-`target` component; with target=None (scoring
-    mode) the minimum NLL over classes."""
-    if target is not None:
-        if not 0 <= target < model.n_classes:
-            raise UnknownClass(f"class {target} not in [0, {model.n_classes})")
-        return model.dis_per_class[target].nll(z_d)
+def nll_dis(model: PartitionDensityModel, z_d: np.ndarray):
+    """The minimum NLL of z_d over the class components (scoring mode)."""
     per_class = [comp.nll(z_d) for comp in model.dis_per_class]
     z = np.asarray(z_d, dtype=float)
     if z.ndim == 1:
@@ -109,7 +104,7 @@ def ood_scores(model: PartitionDensityModel, Z: np.ndarray) -> tuple[np.ndarray,
     """Batched (l_n, l_d) for a matrix of latents."""
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     ln = model.non_dis.nll(Z[:, list(model.partition.z_n)])
-    ld = nll_dis(model, Z[:, list(model.partition.z_d)], target=None)
+    ld = nll_dis(model, Z[:, list(model.partition.z_d)])
     return ln, ld
 
 

@@ -90,6 +90,30 @@ def conditional_entropy(model: QdaModel, Z_eval) -> float:
     return float(-terms.sum(axis=-1).mean())
 
 
+def grad_nll(component, z) -> np.ndarray:
+    """Gradient of a Gaussian's NLL at z: Sigma^{-1} (z - mean) = L^-T L^-1
+    (z - mean), the product the descent engine takes row by row."""
+    y = np.einsum("ij,...j->...i", component.chol_inv, z - component.mean)
+    return np.einsum("ji,...j->...i", component.chol_inv, y)
+
+
+def mode_nll(component) -> float:
+    """A Gaussian's NLL at its mean: 0.5 * (m log 2pi + log|Sigma|)."""
+    return 0.5 * (component.dim * np.log(2.0 * np.pi) + component.log_det)
+
+
+def nll_dis_target(model, z_d, target: int):
+    """NLL of z_d under class `target`'s discriminative Gaussian."""
+    return model.dis_per_class[target].nll(z_d)
+
+
+def generate_ablation(x, model, proj, cfg, variant: str):
+    """One row's ablation through the batch engine: sg = one phase on a
+    joint class-conditional Gaussian over all latent dims; sn = only the
+    non-dis step; sd = only the dis step."""
+    return counterfactual._one_row(x, variant, model=model, projection=proj, cfg=cfg)
+
+
 def id_scores(fit: FittedToy) -> np.ndarray:
     """-l_total of the fit's ID test rows: the AUROC positives of
     `report.evaluate_run`."""

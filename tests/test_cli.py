@@ -103,6 +103,31 @@ class TestToyCommand:
         assert payload["n_per_class"] == 220
 
 
+def write_two_feature_csv(path, rank_one=False):
+    """A toy table as a CSV of two features and a label, OOD rows labelled
+    2; with `rank_one` the second feature is twice the first."""
+    ds = dataset.make_toy(300, 100, 0)
+    x, y = ds.features.T
+    labels = np.where(ds.ood_flag, 2, ds.class_label)
+    lines = [f"{a!r},{2 * a if rank_one else b!r},{c}" for a, b, c in zip(
+        x.tolist(), y.tolist(), labels.tolist())]
+    path.write_text("x,y,target\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestToyDefaultK:
+    def test_csv_source_records_k_0_and_gives_the_k_2_aurocs(self, tmp_path, capsys):
+        # one latent per feature of a two-feature table is the toy's k = 2
+        data = write_two_feature_csv(tmp_path / "two.csv")
+        argv = ["toy", "--data", data, "--label-col", "target", "--ood-rule",
+                "class_equals:2", "--seeds", "0,1"]
+        assert run_cli(argv + ["--out", tmp_path / "k0"]) == 0
+        assert run_cli(argv + ["--k", "2", "--out", tmp_path / "k2"]) == 0
+        k0, k2 = ((tmp_path / d / "toy_auroc.csv").read_text().splitlines() for d in ("k0", "k2"))
+        assert [json.loads(t[0][len("# config: "):])["k"] for t in (k0, k2)] == [0, 2]
+        assert k0[1:] == k2[1:] and len(k0) == 8
+
+
 class TestRunCommand:
     def test_wine_like_run(self, tmp_path, capsys):
         code = run_cli(["run", "--data", WINE, "--label-col", "target",
@@ -266,6 +291,20 @@ class TestBadInputExitCodes:
         assert record["error"] == "DimensionMismatch"
         assert "13" in record["message"]
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("command", ["toy", "score"])
+    def test_rank_one_two_feature_table_exits_3(self, tmp_path, capsys, command):
+        # the data give k = 2 and only one latent: a data problem, not a setting
+        out = tmp_path / "o"
+        with pytest.warns(RankDeficientWarning):
+            code = run_cli([command, "--data",
+                            write_two_feature_csv(tmp_path / "r1.csv", True),
+                            "--label-col", "target", "--ood-rule", "class_equals:2",
+                            "--out", out])
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "TooFewDims" and "rank 1" in record["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_missing_data_file(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
@@ -556,6 +595,12 @@ def _oracle_traj_rows(fit, results, variant):
     return rows
 
 
+def _rows_of(chunks):
+    """The rows of `Columns` chunks, each cell the Python scalar `.tolist()`
+    gives: the values that `write_csv` prints."""
+    return [row for chunk in chunks for row in zip(*[c.tolist() for c in chunk])]
+
+
 # k=2 has a single cardinality, so the partition normalization fallback fires
 class TestTrajRowsAgainstOracle:
     """Batched trajectory rows: every cell but the two NLLs is the oracle's,
@@ -578,7 +623,7 @@ class TestTrajRowsAgainstOracle:
             traces = [t for r in results for t in r.trajectories]
             assert min(len(t.points) for t in traces) == 1
             assert {r.target_class for r in results} == {0, 1}
-            got = list(cli._traj_rows(fit.model, fit.projection, results, variant))
+            got = _rows_of(cli._traj_rows(fit.model, fit.projection, results, variant))
             want = _oracle_traj_rows(fit, results, variant)
             assert len(got) == len(want) == sum(len(t.points) for t in traces)
             for g, w in zip(got, want):
@@ -598,7 +643,7 @@ class TestTrajRowsAgainstOracle:
                                 cfg=cfg.generation(), targets=np.full(len(ood), 9))
         assert all(r.failed for r in failed)
         for results in ([], cfi, failed):
-            assert list(cli._traj_rows(fit.model, fit.projection, results, "x")) == []
+            assert _rows_of(cli._traj_rows(fit.model, fit.projection, results, "x")) == []
 
 
 class TestRunDeterminism:
@@ -685,6 +730,42 @@ class TestHeaderNames:
         rows = read_back(tmp_path / "r" / "counterfactuals_seed0.csv")
         assert rows[0][8] == "orig_a\rb" and len(rows[0]) == 8 + 3 * 13
         assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+
+
+class TestMetamorphic:
+    """Scaling one feature column by 1024, a power of two, commutes with the
+    standardizer's mean, deviation and square root, so `run` makes the same
+    partitions and scores, and that column's raw cells scale exactly."""
+
+    def test_a_column_scaled_by_1024(self, tmp_path, capsys):
+        rows = list(csv.reader(WINE.read_text(encoding="utf-8").splitlines()))
+        j = rows[0].index("alcohol")
+        for row in rows[1:]:
+            row[j] = repr(1024 * float(row[j]))
+        scaled = tmp_path / "scaled.csv"
+        scaled.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        for data, out in ((WINE, "orig"), (scaled, "scaled")):
+            assert run_cli(["run", "--data", data, "--label-col", "target", "--ood-rule",
+                            "class_equals:2", "--seeds", "0,1", "--out", tmp_path / out]) == 0
+
+        def both(name):
+            return read_back(tmp_path / "orig" / name), read_back(tmp_path / "scaled" / name)
+
+        for seed in (0, 1):
+            orig, new = both(f"partition_seed{seed}.csv")
+            assert orig == new
+        orig, new = both("metrics.csv")
+        l1 = orig[0].index("l1")
+        assert len(orig) == 11 and [r[:l1] + r[l1 + 1:] for r in orig] == \
+            [r[:l1] + r[l1 + 1:] for r in new]
+        for seed in (0, 1):
+            orig, new = both(f"counterfactuals_seed{seed}.csv")
+            cols = [orig[0].index(f"{side}_alcohol") for side in ("orig", "cf", "delta")]
+            assert len(orig) == len(new) > 1 and orig[0] == new[0]
+            for a, b in zip(orig[1:], new[1:]):
+                assert [float(b[c]) for c in cols] == [1024 * float(a[c]) for c in cols]
+                assert [v for c, v in enumerate(a) if c not in cols] == \
+                    [v for c, v in enumerate(b) if c not in cols]
 
 
 class TestWriteCsvBytes:
@@ -787,7 +868,9 @@ def test_linalg_error_exits_numeric(tmp_path, monkeypatch, capsys):
 
 SCORE_HEADER = ["row_id", "l_n", "l_d", "l_total", "mahalanobis", "marginal_mahalanobis",
                 "ood_flag"]
-ROW_COUNTS = (0, 1, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1,
+# empty, one row, a few hundred rows, a chunk, one past it, and two chunks
+# and a part
+ROW_COUNTS = (0, 1, 256, 257, 549, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1,
               2 * cli._CSV_CHUNK_ROWS + 37)
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mode_nll, nll_dis_target
+
 from oodcf import density, projection
 from oodcf.errors import DataError, DimensionMismatch, SingularCovariance, UnknownClass
 from oodcf.partition import Partition
@@ -95,7 +97,7 @@ class TestNllNonDis:
         comp = toy_fit.model.non_dis
         gen = np.random.default_rng(2)
         base = comp.nll(comp.mean)
-        assert base == pytest.approx(comp.mode_nll, abs=1e-12)
+        assert base == pytest.approx(mode_nll(comp), abs=1e-12)
         perturbed = comp.mean + gen.normal(size=(1000, comp.dim))
         assert np.all(comp.nll(perturbed) >= base)
 
@@ -103,8 +105,8 @@ class TestNllNonDis:
 class TestNllDis:
     def test_target_at_class_mean(self, toy_fit):
         comp = toy_fit.model.dis_per_class[0]
-        got = density.nll_dis(toy_fit.model, comp.mean, target=0)
-        assert got == pytest.approx(comp.mode_nll, abs=1e-12)
+        got = nll_dis_target(toy_fit.model, comp.mean, target=0)
+        assert got == pytest.approx(mode_nll(comp), abs=1e-12)
 
     def test_none_with_identical_components(self):
         gen = np.random.default_rng(3)
@@ -113,21 +115,21 @@ class TestNllDis:
         Y = np.array([0] * 40 + [1] * 40)
         model = fit_density(Z, Y, tiny_partition([0], [1]))
         z = np.array([0.3])
-        assert density.nll_dis(model, z, target=None) == \
-            pytest.approx(density.nll_dis(model, z, target=0), abs=1e-12)
+        assert density.nll_dis(model, z) == \
+            pytest.approx(nll_dis_target(model, z, target=0), abs=1e-12)
 
     def test_none_equals_loop_minimum(self, toy_fit):
         gen = np.random.default_rng(4)
         for _ in range(100):
             z = gen.normal(size=len(toy_fit.part.z_d)) * 4
-            got = density.nll_dis(toy_fit.model, z, target=None)
-            oracle = min(density.nll_dis(toy_fit.model, z, target=c)
+            got = density.nll_dis(toy_fit.model, z)
+            oracle = min(nll_dis_target(toy_fit.model, z, target=c)
                          for c in range(toy_fit.model.n_classes))
             assert got == oracle
 
     def test_unknown_class(self, toy_fit):
         with pytest.raises(UnknownClass):
-            density.nll_dis(toy_fit.model, np.zeros(1), target=5)
+            toy_fit.model.train_quantile("dis", 0.5, target=5)
 
 
 def ood_score(model, proj, x):
