@@ -35,6 +35,7 @@ COMMANDS = (
     ("toy_run_traj", ["run", "--n-ood", "500", "--seeds", "0", "--emit-trajectories"]),
     ("toy_run_seeds", ["run", "--n-ood", "500", "--seeds", "0,1,2"]),
     ("toy_1e5", ["toy", *TOY_1E5, "--seeds", "0,1,2,3,4"]),
+    ("toy_traj", ["toy", "--seeds", "0", "--emit-trajectories"]),
     ("score_toy_1e5", ["score", *TOY_1E5, "--seeds", "0"]),
     ("score_wine", ["score", *WINE, "--seeds", "0"]),
     ("partition_wine", ["partition", *WINE, "--seeds", "3"]),

@@ -34,7 +34,6 @@ from .counterfactual import (
     CfiConfig,
     GenerationConfig,
     batch_generate,
-    generate,
     select_target,
     train_softmax_classifier,
 )
@@ -60,6 +59,7 @@ from .errors import (
     CapExceeded,
     ConfigError,
     DimensionMismatch,
+    NonFiniteLoss,
     NumericError,
     OodcfError,
     TooFewDims,
@@ -435,7 +435,7 @@ def _traj_rows(model, projection: ProjectionModel, results, variant):
     """Every trace of `results`, step by step, as `Columns` chunks: one
     projection and one NLL solve per Gaussian over all traces. Of the id,
     phase and step columns only each row's trace index is whole."""
-    found = [(i, res.target_class if res.target_class is not None else 0, trace)
+    found = [(i, res.target_class, trace)
              for i, res in enumerate(results) for trace in res.trajectories]
     if not found:
         return iter(())
@@ -518,8 +518,13 @@ def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
 
     gen_base = cfg.generation()
     for order_key, order in ORDER_NAMES.items():
-        gcfg = replace(gen_base, order=order, target_class=TOY_TRACE_TARGET)
-        res = generate(np.array(TOY_TRACE_POINT), diag.model, projection, gcfg)
+        # `variant` by name, as every caller passes it: perfbench's trace
+        # labels a generation span by it
+        [res] = batch_generate([TOY_TRACE_POINT], [TOY_TRACE_TARGET], variant="full",
+                               model=diag.model, projection=projection,
+                               cfg=replace(gen_base, order=order))
+        if res.failed:
+            raise NonFiniteLoss(f"trajectory of {TOY_TRACE_POINT}: {res.error}")
         plot = ScatterPlot(
             title=f"trajectory of {TOY_TRACE_POINT}, order={order}",
             comment=f"config: {_provenance(cfg)}")
@@ -606,10 +611,10 @@ def _cfi_results(cfg: RunConfig, runs: dict) -> dict:
         list(runs))
     counts = [len(run.fit.ood) for run in runs.values()]
     results = iter(batch_generate(
-        np.vstack([run.fit.ood for run in runs.values()]), variant="cfi",
+        np.vstack([run.fit.ood for run in runs.values()]),
+        np.concatenate([run.targets for run in runs.values()]), variant="cfi",
         classifiers=classifiers, classifier_ids=np.repeat(np.arange(len(runs)), counts),
-        cfi_cfg=cfg.cfi(), targets=np.concatenate([run.targets for run in runs.values()]),
-        record=False))
+        cfi_cfg=cfg.cfi(), record=False))
     return {(seed, "cfi"): list(itertools.islice(results, n))
             for seed, n in zip(runs, counts)}
 
@@ -638,9 +643,9 @@ def cmd_run(cfg: RunConfig) -> int:
             run = runs[seed]
             if (seed, variant) not in results_cache:
                 results_cache[seed, variant] = batch_generate(
-                    run.fit.ood, variant=variant, model=run.fit.model,
+                    run.fit.ood, run.targets, variant=variant, model=run.fit.model,
                     projection=run.fit.projection, cfg=cfg.generation(),
-                    targets=run.targets, record=cfg.emit_trajectories)
+                    record=cfg.emit_trajectories)
             return evaluate_run(results_cache[seed, variant], run.id_scores, run.fit.model,
                                 run.fit.projection, approach=approach_names[variant])
 

@@ -43,6 +43,7 @@ from .projection import (
 
 ORDERS = ("non_dis_first", "dis_first")
 VARIANTS = ("full", "sg", "sn", "sd", "cfi")
+TARGET_PROBABILITY = 1.0  # p_t, the target-class probability CFI aims for
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class GenerationConfig:
     step_size: float = 0.05      # alpha, in standardized input space
     max_iter: int = 500          # per step
     stop_quantile: float = 0.5   # stop at this quantile of ID-train NLLs
-    target_class: int | None = None  # None: class with lowest dis NLL at x
 
     def __post_init__(self):
         if self.order not in ORDERS:
@@ -67,10 +67,8 @@ class GenerationConfig:
 @dataclass(frozen=True)
 class CfiConfig:
     lam: float = 0.1             # L1 weight, in the classifier's standardized space
-    target_probability: float = 1.0
     step_size: float = 0.05
     max_iter: int = 500
-    target_class: int | None = None  # None: classifier argmax at x
 
     def __post_init__(self):
         if self.lam < 0.0:
@@ -231,12 +229,12 @@ class _CfiObjective:
         P = self.classifiers.proba(U)
         qt = P[self.rows, self.targets]
         l1 = np.abs(U - self.U0).sum(axis=1)
-        return (qt - self.cfg.target_probability) ** 2 + self.cfg.lam * l1, P
+        return (qt - TARGET_PROBABILITY) ** 2 + self.cfg.lam * l1, P
 
     def step(self, U, P, alpha):
         qt = P[self.rows, self.targets][:, None]
         grad_q = qt * (self.W_target - np.einsum("nc,ncj->nj", P, self.classifiers.weights))
-        g = 2.0 * (qt - self.cfg.target_probability) * grad_q
+        g = 2.0 * (qt - TARGET_PROBABILITY) * grad_q
         d = U - alpha[:, None] * g - self.U0
         d = np.sign(d) * np.maximum(np.abs(d) - self.shrink, 0.0)
         return self.U0 + d
@@ -335,22 +333,17 @@ def _descend(U0, objective, step_size, max_iter, thresholds=None,
                              losses[:s + 1, i].copy(),
                              None if thresholds is None else float(thresholds[i]), int(s))
                   for i, s in enumerate(steps)]
-    errors = {i: NonFiniteLoss(msg, trajectory=traces[i] if record else None)
-              for i, msg in messages.items()}
+    errors = {i: NonFiniteLoss(msg) for i, msg in messages.items()}
     return _Descent(U=U, loss0=loss0, loss=loss, steps=steps, errors=errors, traces=traces)
 
 
 # -- density variants: two-step, sg, sn, sd --------------------------------
 
-def select_target(model: PartitionDensityModel, projection: ProjectionModel, x):
-    """Class whose discriminative NLL at x is lowest (ties: lowest id).
-
-    An int for one row, an int array for an (n, d) matrix.
-    """
-    x = np.asarray(x, dtype=float)
-    Z = project(projection, np.atleast_2d(x))[:, list(model.partition.z_d)]
-    targets = np.argmin(np.stack([g.nll(Z) for g in model.dis_per_class], axis=1), axis=1)
-    return int(targets[0]) if x.ndim == 1 else targets
+def select_target(model: PartitionDensityModel, projection: ProjectionModel, X):
+    """Per row of the (n, d) matrix X, the class whose discriminative NLL is
+    lowest (ties: lowest id)."""
+    Z = project(projection, X)[:, list(model.partition.z_d)]
+    return np.argmin(np.stack([g.nll(Z) for g in model.dis_per_class], axis=1), axis=1)
 
 
 def _phases(variant: str, order: str) -> tuple:
@@ -443,64 +436,6 @@ def _cfi_rows(X, classifiers: _RowClassifiers, cfg, targets, record):
         target_class=int(targets[i])) for i in rows]
 
 
-def _generate_rows(X, variant, model=None, projection=None, cfg=None,
-                   classifiers=None, classifier_ids=0, cfi_cfg=None, targets=None,
-                   record=True):
-    """Per row of X: its CounterfactualResult, or the OodcfError that ended it.
-
-    `targets` overrides the configured target class per row; without either,
-    the density variants take `select_target` and CFI the classifier argmax.
-    """
-    if variant not in VARIANTS:
-        raise OutOfRange(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    n, d = X.shape
-    if variant == "cfi":
-        row_classifiers = _RowClassifiers.gather(classifiers, np.broadcast_to(classifier_ids, n))
-        fixed = cfi_cfg.target_class
-        _, n_classes, n_features = row_classifiers.weights.shape
-    else:
-        fixed, n_classes = cfg.target_class, model.n_classes
-        n_features = projection.n_features
-    if d != n_features:
-        raise DimensionMismatch(f"input has {d} features, model expects {n_features}")
-    # a row on its way to a non-finite loss may overflow or meet inf - inf;
-    # the loss check flags it, so the arithmetic itself stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        if targets is None and fixed is not None:
-            targets = np.full(n, fixed)
-        elif targets is None and variant == "cfi":
-            targets = np.argmax(row_classifiers.proba(row_classifiers.transform(X)), axis=1)
-        elif targets is None:
-            targets = select_target(model, projection, X)
-        targets = np.asarray(targets, dtype=int).reshape(n)
-        outcomes = [None if 0 <= t < n_classes else
-                    UnknownClass(f"target class {t} not in [0, {n_classes})")
-                    for t in targets]
-        ok = np.array([i for i in range(n) if outcomes[i] is None], dtype=int)
-        if variant == "cfi":
-            done = _cfi_rows(X[ok], row_classifiers.take(ok), cfi_cfg, targets[ok], record)
-        else:
-            done = _density_rows(X[ok], variant, model, projection, cfg, targets[ok],
-                                 record)
-    for i, out in zip(ok, done):
-        outcomes[i] = out
-    return outcomes
-
-
-def _one_row(x, variant, **kwargs) -> CounterfactualResult:
-    """One row through the batch engine, with its trajectory; errors raise."""
-    out = _generate_rows(np.array(x, dtype=float, ndmin=2), variant, **kwargs)[0]
-    if isinstance(out, OodcfError):
-        raise out
-    return out
-
-
-def generate(x, model: PartitionDensityModel, projection: ProjectionModel,
-             cfg: GenerationConfig) -> CounterfactualResult:
-    """Two-step counterfactual: descend each partition's NLL in cfg.order."""
-    return _one_row(x, "full", model=model, projection=projection, cfg=cfg)
-
-
 # -- CFI baseline ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -563,24 +498,43 @@ def _failed_result(x, variant, exc) -> CounterfactualResult:
         variant=variant, target_class=None, error=f"{type(exc).__name__}: {exc}")
 
 
-def batch_generate(points, variant="full", model=None, projection=None, cfg=None,
-                   classifiers=None, classifier_ids=0, cfi_cfg=None, targets=None,
+def batch_generate(points, targets, variant="full", model=None, projection=None, cfg=None,
+                   classifiers=None, classifier_ids=0, cfi_cfg=None,
                    record=True) -> list[CounterfactualResult]:
-    """Generate one counterfactual per row in one batched descent; output
-    order matches input order and a failing row is returned flagged instead
-    of aborting the batch.
+    """Generate one counterfactual per row in one batched descent, row i
+    toward class `targets[i]`; output order matches input order and a
+    failing row is returned flagged instead of aborting the batch.
 
     CFI descends row i under `classifiers[classifier_ids[i]]` (a single id
-    serves every row), so one call serves every seed. `targets`
-    (one class id per row) overrides the target class; it gives the CFI
-    baseline the same density-based target rule as the other variants.
-    `record=False` skips the per-step trajectories.
+    serves every row), so one call serves every seed. `record=False` skips
+    the per-step trajectories.
     """
     X = np.array(points, dtype=float, ndmin=2)
     if X.size == 0:
         return []
-    outcomes = _generate_rows(X, variant, model=model, projection=projection, cfg=cfg,
-                              classifiers=classifiers, classifier_ids=classifier_ids,
-                              cfi_cfg=cfi_cfg, targets=targets, record=record)
+    if variant not in VARIANTS:
+        raise OutOfRange(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    n, d = X.shape
+    if variant == "cfi":
+        row_classifiers = _RowClassifiers.gather(classifiers, np.broadcast_to(classifier_ids, n))
+        _, n_classes, n_features = row_classifiers.weights.shape
+    else:
+        n_classes, n_features = model.n_classes, projection.n_features
+    if d != n_features:
+        raise DimensionMismatch(f"input has {d} features, model expects {n_features}")
+    targets = np.asarray(targets, dtype=int).reshape(n)
+    outcomes = [None if 0 <= t < n_classes else
+                UnknownClass(f"target class {t} not in [0, {n_classes})") for t in targets]
+    ok = np.array([i for i in range(n) if outcomes[i] is None], dtype=int)
+    # a row on its way to a non-finite loss may overflow or meet inf - inf;
+    # the loss check flags it, so the arithmetic itself stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "cfi":
+            done = _cfi_rows(X[ok], row_classifiers.take(ok), cfi_cfg, targets[ok], record)
+        else:
+            done = _density_rows(X[ok], variant, model, projection, cfg, targets[ok],
+                                 record)
+    for i, out in zip(ok, done):
+        outcomes[i] = out
     return [_failed_result(x, variant, out) if isinstance(out, OodcfError) else out
             for x, out in zip(X, outcomes)]

@@ -91,13 +91,9 @@ def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: Cla
     )
 
 
-def nll_dis(model: PartitionDensityModel, z_d: np.ndarray):
-    """The minimum NLL of z_d over the class components (scoring mode)."""
-    per_class = [comp.nll(z_d) for comp in model.dis_per_class]
-    z = np.asarray(z_d, dtype=float)
-    if z.ndim == 1:
-        return float(min(per_class))
-    return np.minimum.reduce(per_class)
+def nll_dis(model: PartitionDensityModel, Z_d: np.ndarray) -> np.ndarray:
+    """Per row of Z_d, the minimum NLL over the class components (scoring mode)."""
+    return np.minimum.reduce([comp.nll(Z_d) for comp in model.dis_per_class])
 
 
 def ood_scores(model: PartitionDensityModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,11 +117,9 @@ class MahalanobisScorer:
         """The model's joint class-conditional Gaussians (the sg ablation's)."""
         return cls(components=model.joint_per_class)
 
-    def score(self, z: np.ndarray):
-        per_class = [comp.mahalanobis_sq(z) for comp in self.components]
-        if np.asarray(z).ndim == 1:
-            return float(min(per_class))
-        return np.minimum.reduce(per_class)
+    def score(self, Z: np.ndarray) -> np.ndarray:
+        """Per row of Z, the minimum over the classes."""
+        return np.minimum.reduce([comp.mahalanobis_sq(Z) for comp in self.components])
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,7 @@ class SingularCovariance(NumericError):
 
 
 class NonFiniteLoss(NumericError):
-    """Optimization produced a non-finite loss; the trajectory so far is attached."""
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """Optimization produced a non-finite loss."""
 
 
 # -- warnings (recoverable conditions; operation proceeds) -----------------

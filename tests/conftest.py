@@ -107,11 +107,12 @@ def nll_dis_target(model, z_d, target: int):
     return model.dis_per_class[target].nll(z_d)
 
 
-def generate_ablation(x, model, proj, cfg, variant: str):
-    """One row's ablation through the batch engine: sg = one phase on a
-    joint class-conditional Gaussian over all latent dims; sn = only the
-    non-dis step; sd = only the dis step."""
-    return counterfactual._one_row(x, variant, model=model, projection=proj, cfg=cfg)
+def density_counterfactuals(fit: FittedToy, X, variant="full") -> list:
+    """`batch_generate` on a density variant at the default settings, each
+    row toward its `select_target` class, as `run` sends them."""
+    return counterfactual.batch_generate(
+        X, counterfactual.select_target(fit.model, fit.projection, X), variant=variant,
+        model=fit.model, projection=fit.projection, cfg=counterfactual.GenerationConfig())
 
 
 def id_scores(fit: FittedToy) -> np.ndarray:
@@ -129,10 +130,10 @@ def predict_proba(classifier, X) -> np.ndarray:
     return P / P.sum(axis=-1, keepdims=True)
 
 
-def cfi_one(x, classifier, cfg):
-    """One row's CFI counterfactual through the batch engine."""
-    return counterfactual.batch_generate(x, variant="cfi", classifiers=[classifier],
-                                         cfi_cfg=cfg)[0]
+def argmax_targets(classifier, X) -> np.ndarray:
+    """Each row's most probable class under `classifier`: a CFI target that
+    needs no density model."""
+    return np.argmax(predict_proba(classifier, X), axis=1)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (cfi_one, conditional_entropy, fit_qda, fit_toy, grad_nll, id_scores,
-                      predict_proba)
+from conftest import (conditional_entropy, density_counterfactuals, fit_qda, fit_toy, grad_nll,
+                      id_scores, predict_proba)
 from oodcf import cli, counterfactual, dataset, density, projection, report
-from oodcf.counterfactual import CfiConfig, GenerationConfig
+from oodcf.counterfactual import CfiConfig
 
 WINE = Path(__file__).resolve().parent.parent / "data" / "wine_like.csv"
 SEEDS = (0, 1, 2, 3, 4)
@@ -143,11 +143,7 @@ def test_criterion_04_gradient_finite_differences(toy_fit, wine_fit):
 @pytest.fixture(scope="module")
 def toy_cf_batch():
     fit = fit_toy(seed=0, n_per_class=500, n_ood=200)
-    cfg = GenerationConfig()
-    results = counterfactual.batch_generate(
-        fit.test.ood_rows().features, variant="full", model=fit.model,
-        projection=fit.projection, cfg=cfg)
-    return fit, results
+    return fit, density_counterfactuals(fit, fit.test.ood_rows().features)
 
 
 def test_criterion_05_step_decoupling(toy_cf_batch):
@@ -168,10 +164,7 @@ def test_criterion_05_step_decoupling(toy_cf_batch):
 
 def test_criterion_06_descent_contract(toy_cf_batch, wine_fit):
     fit, results = toy_cf_batch
-    wine_results = counterfactual.batch_generate(
-        wine_fit.test.ood_rows().features, variant="full",
-        model=wine_fit.model, projection=wine_fit.projection,
-        cfg=GenerationConfig())
+    wine_results = density_counterfactuals(wine_fit, wine_fit.test.ood_rows().features)
     checked = strict_violations = phase_violations = endpoint_violations = 0
     for res in list(results) + list(wine_results):
         assert not res.failed
@@ -221,15 +214,12 @@ def test_criterion_07_auroc_oracle_equivalence():
 
 
 def test_criterion_08_ablation_ordering():
-    cfg = GenerationConfig()
     totals = {v: [] for v in ("full", "sg", "sn", "sd")}
     for seed in SEEDS:
         fit = fit_toy(seed=seed, n_per_class=500, n_ood=200)
         ood = fit.test.ood_rows().features
         for variant in totals:
-            results = counterfactual.batch_generate(
-                ood, variant=variant, model=fit.model,
-                projection=fit.projection, cfg=cfg)
+            results = density_counterfactuals(fit, ood, variant)
             row = report.evaluate_run(results, id_scores(fit), fit.model, fit.projection)
             totals[variant].append(row.auroc)
     means = {v: float(np.mean(scores)) for v, scores in totals.items()}
@@ -268,12 +258,12 @@ def test_criterion_10_cfi_crossing_and_l1_monotonicity():
     [clf] = counterfactual.train_softmax_classifier(
         [(id_train.features, id_train.class_label)], [0])
     ood = fit.test.ood_rows().features
-    targets = [counterfactual.select_target(fit.model, fit.projection, x)
-               for x in ood]
+    targets = counterfactual.select_target(fit.model, fit.projection, ood)
 
     def run(lam):
-        results = [cfi_one(x, clf, CfiConfig(lam=lam, target_class=t))
-                   for x, t in zip(ood, targets)]
+        results = counterfactual.batch_generate(ood, targets, variant="cfi",
+                                                classifiers=[clf],
+                                                cfi_cfg=CfiConfig(lam=lam))
         crossed = np.mean([predict_proba(clf, r.x_counterfactual)[t] >= 0.5
                            for r, t in zip(results, targets)])
         l1 = np.mean([report.l1_distance(r.x_original, r.x_counterfactual)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import argmax_targets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from oodcf.dataset import OodRule
 from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
 from oodcf.errors import ConfigError, RankDeficientWarning
 from oodcf.projection import project
+from oodcf.report import auroc
 
 ROOT = Path(__file__).resolve().parent.parent
 WINE = ROOT / "data" / "wine_like.csv"
@@ -92,6 +94,14 @@ class TestToyCommand:
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["toy", "--seeds", "7", "--n-per-class", "250", "--n-ood", "150"]
         rerun_identical(args, tmp_path / "t")
+
+    def test_trace_divergence_exits_numeric(self, tmp_path, monkeypatch):
+        # the trace row's squared Mahalanobis distance overflows at 1e200
+        monkeypatch.setattr(cli, "TOY_TRACE_POINT", (1e200, 1e200))
+        assert run_cli(["toy", "--seeds", "0", "--n-per-class", "220", "--n-ood", "120",
+                        "--out", tmp_path / "t"]) == 4
+        record = json.loads((tmp_path / "t" / "error.json").read_text())
+        assert record["error"] == "NonFiniteLoss" and record["exit_code"] == 4
 
     def test_provenance_header(self, tmp_path):
         run_cli(["toy", "--seeds", "0", "--n-per-class", "220", "--n-ood", "120",
@@ -617,9 +627,8 @@ class TestTrajRowsAgainstOracle:
         X = np.concatenate([fit.ood, fit.train.features[:20]])
         targets = np.arange(len(X)) % 2
         for variant in ("full", "sg", "sn", "sd"):
-            results = batch_generate(X, variant=variant, model=fit.model,
-                                     projection=fit.projection, cfg=cfg.generation(),
-                                     targets=targets)
+            results = batch_generate(X, targets, variant=variant, model=fit.model,
+                                     projection=fit.projection, cfg=cfg.generation())
             traces = [t for r in results for t in r.trajectories]
             assert min(len(t.points) for t in traces) == 1
             assert {r.target_class for r in results} == {0, 1}
@@ -637,10 +646,10 @@ class TestTrajRowsAgainstOracle:
         ood = fit.ood
         clf = train_softmax_classifier(
             [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
-        cfi = batch_generate(ood, variant="cfi", classifiers=clf,
-                             cfi_cfg=cfg.cfi(), record=False)
-        failed = batch_generate(ood, model=fit.model, projection=fit.projection,
-                                cfg=cfg.generation(), targets=np.full(len(ood), 9))
+        cfi = batch_generate(ood, argmax_targets(clf[0], ood), variant="cfi",
+                             classifiers=clf, cfi_cfg=cfg.cfi(), record=False)
+        failed = batch_generate(ood, np.full(len(ood), 9), model=fit.model,
+                                projection=fit.projection, cfg=cfg.generation())
         assert all(r.failed for r in failed)
         for results in ([], cfi, failed):
             assert _rows_of(cli._traj_rows(fit.model, fit.projection, results, "x")) == []
@@ -732,10 +741,24 @@ class TestHeaderNames:
         assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
 
 
+def _close(a: str, b: str) -> bool:
+    """Two numeric cells within 1e-10 of max(1, |a|); other cells equal."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return a == b
+    return abs(x - y) <= 1e-10 * max(1.0, abs(x))
+
+
 class TestMetamorphic:
-    """Scaling one feature column by 1024, a power of two, commutes with the
+    """Relations between two commands' outputs that hold on any input.
+
+    Scaling one feature column by 1024, a power of two, commutes with the
     standardizer's mean, deviation and square root, so `run` makes the same
-    partitions and scores, and that column's raw cells scale exactly."""
+    partitions and scores, and that column's raw cells scale exactly.
+    Permuting the feature columns permutes the raw cells and leaves the
+    rest equal up to float reduction order. `toy`'s custom-metric AUROC is
+    the AUROC of `score`'s `l_total` split by `ood_flag`."""
 
     def test_a_column_scaled_by_1024(self, tmp_path, capsys):
         rows = list(csv.reader(WINE.read_text(encoding="utf-8").splitlines()))
@@ -767,24 +790,62 @@ class TestMetamorphic:
                 assert [v for c, v in enumerate(a) if c not in cols] == \
                     [v for c, v in enumerate(b) if c not in cols]
 
+    def test_permuted_feature_columns(self, tmp_path, capsys):
+        rows = list(csv.reader(WINE.read_text(encoding="utf-8").splitlines()))
+        label = rows[0].index("target")
+        features = [j for j in range(len(rows[0])) if j != label]
+        order = [label, *np.random.default_rng(3).permutation(features).tolist()]
+        assert order[1:] != features
+        permuted = tmp_path / "permuted.csv"
+        permuted.write_text("".join(",".join(row[j] for j in order) + "\n" for row in rows),
+                            encoding="utf-8")
+        for data, out in ((WINE, "orig"), (permuted, "permuted")):
+            assert run_cli(["run", "--data", data, "--label-col", "target", "--ood-rule",
+                            "class_equals:2", "--seeds", "0,1", "--out", tmp_path / out]) == 0
+
+        def both(name):
+            return read_back(tmp_path / "orig" / name), read_back(tmp_path / "permuted" / name)
+
+        for seed in (0, 1):
+            orig, new = both(f"partition_seed{seed}.csv")
+            assert [r[:2] + r[4:] for r in orig] == [r[:2] + r[4:] for r in new]
+            assert all(map(_close, sum(orig, []), sum(new, [])))
+        orig, new = both("metrics.csv")
+        assert len(orig) == len(new) == 11
+        assert all(map(_close, sum(orig, []), sum(new, [])))
+        for seed in (0, 1):
+            orig, new = both(f"counterfactuals_seed{seed}.csv")
+            assert len(orig) == len(new) > 1 and sorted(orig[0]) == sorted(new[0])
+            where = [new[0].index(name) for name in orig[0]]
+            for a, b in zip(orig[1:], new[1:]):
+                assert all(_close(x, b[c]) for x, c in zip(a, where)), (a, b)
+
+    def test_toy_custom_metric_is_the_auroc_of_score_l_total(self, tmp_path, capsys):
+        common = ["--seeds", "0", "--n-per-class", "300", "--n-ood", "200"]
+        assert run_cli(["toy", *common, "--out", tmp_path / "t"]) == 0
+        assert run_cli(["score", *common, "--out", tmp_path / "s"]) == 0
+        [custom] = [r for r in read_back(tmp_path / "t" / "toy_auroc.csv")
+                    if r[:2] == ["Custom metric", "0"]]
+        scores = read_back(tmp_path / "s" / "scores.csv")
+        l_total = np.array([float(r[scores[0].index("l_total")]) for r in scores[1:]])
+        ood = np.array([r[scores[0].index("ood_flag")] == "1" for r in scores[1:]])
+        assert ood.any() and not ood.all()
+        assert float(custom[2]) == auroc(-l_total[~ood], -l_total[ood])
+
 
 class TestWriteCsvBytes:
     """`write_csv` writes the bytes csv.writer writes, for any cells and row
-    shapes, except that a cell holding a CR is quoted; rows that need
-    quoting take csv.writer within their chunk."""
+    shapes, except that a cell holding a CR is quoted."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
         st.just(width),
-        # mostly full-width tuples, the rows the fast path takes
+        # mostly full-width tuples, and some ragged rows
         st.lists(st.one_of(*[st.lists(CELLS, min_size=width, max_size=width).map(tuple)] * 3,
                            st.lists(CELLS, min_size=0, max_size=width + 1)),
-                 min_size=1, max_size=12),
-        st.booleans())))
+                 min_size=1, max_size=12))))
     def test_matches_csv_writer(self, case):
-        width, rows, repeat = case
-        if repeat:  # more than one chunk, each mixing clean and quoted rows
-            rows = rows * (2 * cli._CSV_CHUNK_ROWS // len(rows) + 1)
+        width, rows = case
         header = [f"c{j}" for j in range(width)]
         cfg = cli.RunConfig()
         with tempfile.TemporaryDirectory() as tmp:
@@ -835,10 +896,10 @@ def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
     targets = np.where(np.arange(len(ood)) % 3 == 0, 5, np.arange(len(ood)) % 2)
     clf = train_softmax_classifier(
         [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
-    runs = [("OOD CF", batch_generate(ood, model=fit.model, projection=fit.projection,
-                                      cfg=cfg.generation(), targets=targets)),
-            ("CFI", batch_generate(ood, variant="cfi", classifiers=clf,
-                                   cfi_cfg=cfg.cfi(), targets=targets, record=False)),
+    runs = [("OOD CF", batch_generate(ood, targets, model=fit.model,
+                                      projection=fit.projection, cfg=cfg.generation())),
+            ("CFI", batch_generate(ood, targets, variant="cfi", classifiers=clf,
+                                   cfi_cfg=cfg.cfi(), record=False)),
             ("empty", [])]
     assert any(r.failed for r in runs[0][1]) and not all(r.failed for r in runs[0][1])
     header = [f"c{j}" for j in range(8 + 3 * len(fit.feature_names))]

@@ -2,8 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (WINE_LIKE, cfi_one, fit_toy, fit_wine, generate_ablation, grad_nll,
-                      predict_proba)
+from conftest import WINE_LIKE, argmax_targets, fit_toy, fit_wine, grad_nll, predict_proba
 
 from oodcf import counterfactual, dataset, projection, rng
 from oodcf.counterfactual import ORDERS, VARIANTS, CfiConfig, GenerationConfig, PhaseTrace
@@ -12,6 +11,32 @@ from oodcf.errors import DimensionMismatch, NonFiniteLoss, OutOfRange
 
 def latents(fit, X):
     return projection.project(fit.projection, np.atleast_2d(X))
+
+
+def _variant_kwargs(fit, variant, classifier, cfg=None, cfi_cfg=None):
+    if variant == "cfi":
+        return {"classifiers": [classifier], "cfi_cfg": cfi_cfg or CfiConfig()}
+    return {"model": fit.model, "projection": fit.projection,
+            "cfg": cfg or GenerationConfig()}
+
+
+def _targets(fit, variant, classifier, X):
+    """The tests' target rule: `select_target` for the density variants, the
+    classifier argmax for CFI. Rows built to overflow are the engine's to
+    flag, so the rule itself stays silent on them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "cfi":
+            return argmax_targets(classifier, X)
+        return counterfactual.select_target(fit.model, fit.projection, X)
+
+
+def _run(fit, variant, X, classifier=None, targets=None, record=True, **cfgs):
+    """`batch_generate` on the rows of X, toward `targets` or the tests' rule."""
+    X = np.array(X, dtype=float, ndmin=2)
+    if targets is None:
+        targets = _targets(fit, variant, classifier, X)
+    return counterfactual.batch_generate(X, targets, variant=variant, record=record,
+                                         **_variant_kwargs(fit, variant, classifier, **cfgs))
 
 
 class TestConfigs:
@@ -34,9 +59,8 @@ class TestGenerate:
     def test_toy_trajectory_geometry(self, toy_fit):
         # from (0,2) with target class 1: vertical (non-dis) motion first,
         # then horizontal motion toward the class-1 centroid at (-3, 0)
-        cfg = GenerationConfig(order="non_dis_first", target_class=1)
-        res = counterfactual.generate(np.array([0.0, 2.0]), toy_fit.model,
-                                      toy_fit.projection, cfg)
+        [res] = _run(toy_fit, "full", [0.0, 2.0], targets=[1],
+                     cfg=GenerationConfig(order="non_dis_first"))
         phase1, phase2 = res.trajectories
         assert phase1.phase == "non_dis"
         assert phase2.phase == "dis"
@@ -48,17 +72,13 @@ class TestGenerate:
         assert res.x_counterfactual[0] < -1.5                  # toward class 1
 
     def test_phases_chain(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        res = counterfactual.generate(toy_ood[0], toy_fit.model,
-                                      toy_fit.projection, cfg)
+        [res] = _run(toy_fit, "full", toy_ood[0])
         end_of_first = res.trajectories[0].points[-1]
         start_of_second = res.trajectories[1].points[0]
         assert np.array_equal(end_of_first, start_of_second)
 
     def test_delta_additivity_and_exactness(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        res = counterfactual.generate(toy_ood[1], toy_fit.model,
-                                      toy_fit.projection, cfg)
+        [res] = _run(toy_fit, "full", toy_ood[1])
         assert np.array_equal(res.x_original + res.delta, res.x_counterfactual)
         # delta decomposes into the per-phase displacements
         scale = toy_fit.projection.standardizer.scale
@@ -72,15 +92,12 @@ class TestGenerate:
         z[list(toy_fit.part.z_d)] = toy_fit.model.dis_per_class[0].mean
         z[list(toy_fit.part.z_n)] = toy_fit.model.non_dis.mean
         x = toy_fit.projection.standardizer.inverse_transform(z @ toy_fit.projection.loadings.T)
-        cfg = GenerationConfig(target_class=0)
-        res = counterfactual.generate(x, toy_fit.model, toy_fit.projection, cfg)
+        [res] = _run(toy_fit, "full", x, targets=[0])
         assert res.steps_taken == {"non_dis": 0, "dis": 0}
         assert np.allclose(res.delta, 0.0)
 
     def test_descent_contract(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        for x in toy_ood[:40]:
-            res = counterfactual.generate(x, toy_fit.model, toy_fit.projection, cfg)
+        for res in _run(toy_fit, "full", toy_ood[:40]):
             for trace in res.trajectories:
                 assert trace.losses[-1] <= trace.losses[0]
             assert res.losses_after["non_dis"] <= res.losses_before["non_dis"]
@@ -88,10 +105,8 @@ class TestGenerate:
 
     def test_order_sensitivity(self, toy_fit):
         x = np.array([0.5, 2.2])
-        nd = counterfactual.generate(x, toy_fit.model, toy_fit.projection,
-                                     GenerationConfig(order="non_dis_first"))
-        dn = counterfactual.generate(x, toy_fit.model, toy_fit.projection,
-                                     GenerationConfig(order="dis_first"))
+        [nd] = _run(toy_fit, "full", x, cfg=GenerationConfig(order="non_dis_first"))
+        [dn] = _run(toy_fit, "full", x, cfg=GenerationConfig(order="dis_first"))
         assert [t.phase for t in nd.trajectories] == ["non_dis", "dis"]
         assert [t.phase for t in dn.trajectories] == ["dis", "non_dis"]
         mid_nd = nd.trajectories[0].points[-1]
@@ -102,9 +117,8 @@ class TestGenerate:
             assert res.losses_after["dis"] <= res.losses_before["dis"]
 
     def test_dis_first_moves_horizontally_then_vertically(self, toy_fit):
-        cfg = GenerationConfig(order="dis_first", target_class=1)
-        res = counterfactual.generate(np.array([0.0, 2.0]), toy_fit.model,
-                                      toy_fit.projection, cfg)
+        [res] = _run(toy_fit, "full", [0.0, 2.0], targets=[1],
+                     cfg=GenerationConfig(order="dis_first"))
         raw1 = toy_fit.projection.standardizer.inverse_transform(
             res.trajectories[0].points)
         raw2 = toy_fit.projection.standardizer.inverse_transform(
@@ -138,52 +152,41 @@ class TestGenerate:
                 assert np.linalg.norm(analytic - fd) / denom < 1e-5
 
     def test_auto_target_is_nearest_class(self, toy_fit):
-        assert counterfactual.select_target(
-            toy_fit.model, toy_fit.projection, np.array([2.0, 2.0])) == 0
-        assert counterfactual.select_target(
-            toy_fit.model, toy_fit.projection, np.array([-2.0, 2.0])) == 1
+        X = np.array([[2.0, 2.0], [-2.0, 2.0]])
+        assert counterfactual.select_target(toy_fit.model, toy_fit.projection,
+                                            X).tolist() == [0, 1]
 
 
 class TestDecoupling:
     def test_latent_decoupling_both_steps(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
         zn, zd = list(toy_fit.part.z_n), list(toy_fit.part.z_d)
         W = toy_fit.projection.loadings
-        for x in toy_ood[:30]:
-            res = counterfactual.generate(x, toy_fit.model, toy_fit.projection, cfg)
+        for res in _run(toy_fit, "full", toy_ood[:30]):
             for trace in res.trajectories:
                 Z = trace.points @ W
                 frozen = zd if trace.phase == "non_dis" else zn
                 drift = np.abs(Z[:, frozen] - Z[0, frozen]).max()
                 assert drift < 1e-9
 
+    @staticmethod
+    def _frozen_drift(toy_fit, toy_ood, variant, frozen):
+        """Largest move of the `frozen` latents over 20 rows of `variant`."""
+        dims = list(getattr(toy_fit.part, frozen))
+        results = _run(toy_fit, variant, toy_ood[:20])
+        z0 = latents(toy_fit, toy_ood[:20])
+        z1 = latents(toy_fit, [res.x_counterfactual for res in results])
+        return np.abs(z1[:, dims] - z0[:, dims]).max()
+
     def test_sn_freezes_discriminative_latents(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        zd = list(toy_fit.part.z_d)
-        for x in toy_ood[:20]:
-            res = generate_ablation(
-                x, toy_fit.model, toy_fit.projection, cfg, "sn")
-            z0 = latents(toy_fit, x)[0]
-            z1 = latents(toy_fit, res.x_counterfactual)[0]
-            assert np.abs(z1[zd] - z0[zd]).max() < 1e-9
+        assert self._frozen_drift(toy_fit, toy_ood, "sn", "z_d") < 1e-9
 
     def test_sd_freezes_non_discriminative_latents(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        zn = list(toy_fit.part.z_n)
-        for x in toy_ood[:20]:
-            res = generate_ablation(
-                x, toy_fit.model, toy_fit.projection, cfg, "sd")
-            z0 = latents(toy_fit, x)[0]
-            z1 = latents(toy_fit, res.x_counterfactual)[0]
-            assert np.abs(z1[zn] - z0[zn]).max() < 1e-9
+        assert self._frozen_drift(toy_fit, toy_ood, "sd", "z_n") < 1e-9
 
 
 class TestAblations:
     def test_sg_descends_joint_and_total(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        for x in toy_ood[:20]:
-            res = generate_ablation(
-                x, toy_fit.model, toy_fit.projection, cfg, "sg")
+        for res in _run(toy_fit, "sg", toy_ood[:20]):
             assert res.losses_after["joint"] <= res.losses_before["joint"]
             before = res.losses_before["non_dis"] + res.losses_before["dis"]
             after = res.losses_after["non_dis"] + res.losses_after["dis"]
@@ -192,16 +195,13 @@ class TestAblations:
     def test_unknown_variant(self, toy_fit):
         with pytest.raises(OutOfRange):
             counterfactual.batch_generate(
-                np.zeros((1, 2)), variant="nope", model=toy_fit.model,
+                np.zeros((1, 2)), [0], variant="nope", model=toy_fit.model,
                 projection=toy_fit.projection, cfg=GenerationConfig())
 
     def test_wine_descent_contract_all_variants(self, wine_fit):
-        cfg = GenerationConfig()
         ood = wine_fit.test.ood_rows().features
         for variant in ("full", "sg", "sn", "sd"):
-            results = counterfactual.batch_generate(
-                ood, variant=variant, model=wine_fit.model,
-                projection=wine_fit.projection, cfg=cfg)
+            results = _run(wine_fit, variant, ood)
             assert not any(r.failed for r in results)
             for res in results:
                 for trace in res.trajectories:
@@ -218,20 +218,19 @@ class TestCfi:
                                                       toy_classifier):
         # the gradient of (q_t - 1)^2 vanishes quadratically near q_t = 1, so
         # the limiting behavior needs a longer budget than the default
-        for x in toy_ood[:30]:
-            t = counterfactual.select_target(toy_fit.model, toy_fit.projection, x)
-            res = cfi_one(
-                x, toy_classifier,
-                CfiConfig(lam=0.0, target_class=t, step_size=0.2, max_iter=2000))
+        X = toy_ood[:30]
+        targets = counterfactual.select_target(toy_fit.model, toy_fit.projection, X)
+        results = _run(toy_fit, "cfi", X, toy_classifier, targets=targets,
+                       cfi_cfg=CfiConfig(lam=0.0, step_size=0.2, max_iter=2000))
+        for res, t in zip(results, targets):
             assert predict_proba(toy_classifier, res.x_counterfactual)[t] >= 0.99
 
-    def test_huge_lambda_freezes_point(self, toy_ood, toy_classifier):
-        res = cfi_one(toy_ood[0], toy_classifier, CfiConfig(lam=1e6))
+    def test_huge_lambda_freezes_point(self, toy_fit, toy_ood, toy_classifier):
+        [res] = _run(toy_fit, "cfi", toy_ood[0], toy_classifier, cfi_cfg=CfiConfig(lam=1e6))
         assert np.allclose(res.delta, 0.0)
 
-    def test_objective_never_diverges(self, toy_ood, toy_classifier):
-        for x in toy_ood[:20]:
-            res = cfi_one(x, toy_classifier, CfiConfig())
+    def test_objective_never_diverges(self, toy_fit, toy_ood, toy_classifier):
+        for res in _run(toy_fit, "cfi", toy_ood[:20], toy_classifier):
             assert np.isfinite(res.losses_after["objective"])
 
     def test_classifier_training_deterministic(self, toy_fit):
@@ -333,8 +332,8 @@ class TestTrainerAgainstOracle:
 
 def _cfi_batch(classifiers, X, ids, targets, cfg=None):
     return counterfactual.batch_generate(
-        X, variant="cfi", classifiers=classifiers, classifier_ids=ids,
-        cfi_cfg=cfg or CfiConfig(), targets=targets, record=False)
+        X, targets, variant="cfi", classifiers=classifiers, classifier_ids=ids,
+        cfi_cfg=cfg or CfiConfig(), record=False)
 
 
 class TestLockStepDescent:
@@ -438,8 +437,9 @@ class TestNllGradient:
 
 
 # -- per-row oracle: the descent loops as they ran before the batched engine --
-# Kept verbatim apart from two helpers that pin the arithmetic of that time:
-# the gradient by two LU solves, and the class probabilities by a matmul.
+# Kept verbatim apart from two helpers that pin the arithmetic of that time
+# (the gradient by two LU solves, and the class probabilities by a matmul),
+# a divergence that carries only its message, and CFI's p_t written as 1.
 
 def _oracle_grad_nll(component, z):
     y = np.linalg.solve(component.chol, z - component.mean)
@@ -472,10 +472,7 @@ def _oracle_descend(u0, component, J, threshold, cfg, phase):
         z = J @ u
         new_loss = float(component.nll(z))
         if not np.isfinite(new_loss):
-            raise NonFiniteLoss(
-                f"{phase} phase diverged at step {steps + 1} (alpha={alpha:g})",
-                trajectory=PhaseTrace(phase, np.array(points), np.array(losses),
-                                      threshold, steps))
+            raise NonFiniteLoss(f"{phase} phase diverged at step {steps + 1} (alpha={alpha:g})")
         if new_loss > loss:
             rises += 1
             if rises >= 2:
@@ -523,13 +520,14 @@ def _oracle_generate(x, model, proj, cfg, variant, target):
 
 
 def _oracle_cfi(x, classifier, cfg, target):
-    """(x_counterfactual, trajectories, steps_taken) of the CFI baseline."""
+    """(x_counterfactual, trajectories, steps_taken) of the CFI baseline,
+    whose target probability p_t is 1."""
     x = np.asarray(x, dtype=float)
     u0 = classifier.standardizer.transform(x)
 
     def objective(u):
         qt = _oracle_proba(classifier, u)[target]
-        return (qt - cfg.target_probability) ** 2 + cfg.lam * np.abs(u - u0).sum()
+        return (qt - 1.0) ** 2 + cfg.lam * np.abs(u - u0).sum()
 
     u = u0.copy()
     points, losses = [u.copy()], [float(objective(u))]
@@ -538,16 +536,14 @@ def _oracle_cfi(x, classifier, cfg, target):
         P = _oracle_proba(classifier, u)
         qt = P[target]
         grad_q = qt * (classifier.weights[target] - P @ classifier.weights)
-        g = 2.0 * (qt - cfg.target_probability) * grad_q
+        g = 2.0 * (qt - 1.0) * grad_q
         moved = u - cfg.step_size * g
         d = moved - u0
         d = np.sign(d) * np.maximum(np.abs(d) - cfg.step_size * cfg.lam, 0.0)
         u_next = u0 + d
         loss = float(objective(u_next))
         if not np.isfinite(loss):
-            raise NonFiniteLoss(
-                f"cfi diverged at step {steps + 1}",
-                trajectory=PhaseTrace("cfi", np.array(points), np.array(losses), None, steps))
+            raise NonFiniteLoss(f"cfi diverged at step {steps + 1}")
         if np.array_equal(u_next, u):
             break
         u = u_next
@@ -581,13 +577,6 @@ def _classifier(fit, seed=0):
     return clf
 
 
-def _variant_kwargs(fit, variant, classifier, cfg=None, cfi_cfg=None):
-    if variant == "cfi":
-        return {"classifiers": [classifier], "cfi_cfg": cfi_cfg or CfiConfig()}
-    return {"model": fit.model, "projection": fit.projection,
-            "cfg": cfg or GenerationConfig()}
-
-
 class TestEngineAgainstOracle:
     """The batched engine against the per-row loops it replaced: equal step
     counts per row and phase, counterfactuals and trajectories within 1e-10
@@ -604,16 +593,13 @@ class TestEngineAgainstOracle:
         for order in ORDERS:
             cfg = GenerationConfig(order=order)
             for variant in ("full", "sg", "sn", "sd"):
-                results = counterfactual.batch_generate(
-                    ood, variant=variant, model=fit.model,
-                    projection=fit.projection, cfg=cfg)
+                results = _run(fit, variant, ood, targets=targets, cfg=cfg)
                 for x, t, res in zip(ood, targets, results):
                     assert res.target_class == t
                     _assert_matches_oracle(res, _oracle_generate(
                         x, fit.model, fit.projection, cfg, variant, t))
         clf = _classifier(fit, seed)
-        results = counterfactual.batch_generate(
-            ood, variant="cfi", classifiers=[clf], cfi_cfg=CfiConfig(), targets=targets)
+        results = _run(fit, "cfi", ood, clf, targets=targets)
         for x, t, res in zip(ood, targets, results):
             _assert_matches_oracle(res, _oracle_cfi(x, clf, CfiConfig(), t))
 
@@ -628,8 +614,7 @@ class TestEngineAgainstOracle:
         targets = counterfactual.select_target(fit.model, fit.projection, ood)
         double_rises = 0
         for variant in ("full", "sg", "sn", "sd"):
-            results = counterfactual.batch_generate(
-                ood, variant=variant, model=fit.model, projection=fit.projection, cfg=cfg)
+            results = _run(fit, variant, ood, targets=targets, cfg=cfg)
             for x, t, res in zip(ood, targets, results):
                 oracle = _oracle_generate(x, fit.model, fit.projection, cfg, variant, t)
                 _assert_matches_oracle(res, oracle)
@@ -641,21 +626,13 @@ class TestEngineAgainstOracle:
 
 class TestBatch:
     def test_empty_input(self):
-        assert counterfactual.batch_generate(np.empty((0, 2))) == []
+        assert counterfactual.batch_generate(np.empty((0, 2)), []) == []
 
     def test_batch_equals_loop(self, toy_fit, toy_ood, toy_classifier):
         for variant in VARIANTS:
-            kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
-            batch = counterfactual.batch_generate(toy_ood[:10], variant=variant, **kwargs)
+            batch = _run(toy_fit, variant, toy_ood[:10], toy_classifier)
             for x, res in zip(toy_ood[:10], batch):
-                if variant == "cfi":
-                    single = cfi_one(x, toy_classifier, CfiConfig())
-                elif variant == "full":
-                    single = counterfactual.generate(x, toy_fit.model,
-                                                     toy_fit.projection, kwargs["cfg"])
-                else:
-                    single = generate_ablation(
-                        x, toy_fit.model, toy_fit.projection, kwargs["cfg"], variant)
+                [single] = _run(toy_fit, variant, x, toy_classifier)
                 assert np.array_equal(res.x_counterfactual, single.x_counterfactual)
                 assert res.losses_after == single.losses_after
                 assert res.steps_taken == single.steps_taken
@@ -666,10 +643,10 @@ class TestBatch:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_permuted_batch_is_bit_identical(self, wine_fit, variant):
         ood = wine_fit.test.ood_rows().features
-        kwargs = _variant_kwargs(wine_fit, variant, _classifier(wine_fit))
-        base = counterfactual.batch_generate(ood, variant=variant, **kwargs)
+        clf = _classifier(wine_fit)
+        base = _run(wine_fit, variant, ood, clf)
         perm = np.random.default_rng(0).permutation(len(ood))
-        permuted = counterfactual.batch_generate(ood[perm], variant=variant, **kwargs)
+        permuted = _run(wine_fit, variant, ood[perm], clf)
         for j, i in enumerate(perm):
             assert np.array_equal(permuted[j].x_counterfactual, base[i].x_counterfactual)
             assert permuted[j].steps_taken == base[i].steps_taken
@@ -679,9 +656,7 @@ class TestBatch:
         rows = toy_ood[:12]
         targets = np.arange(len(rows)) % 2
         for variant in VARIANTS:
-            kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
-            batch = counterfactual.batch_generate(rows, variant=variant,
-                                                  targets=targets, **kwargs)
+            batch = _run(toy_fit, variant, rows, toy_classifier, targets=targets)
             for x, t, res in zip(rows, targets, batch):
                 assert res.target_class == t
                 if variant == "cfi":
@@ -692,9 +667,7 @@ class TestBatch:
                 _assert_matches_oracle(res, oracle)
 
     def test_out_of_range_target_flags_its_row(self, toy_fit, toy_ood):
-        results = counterfactual.batch_generate(
-            toy_ood[:3], variant="full", model=toy_fit.model,
-            projection=toy_fit.projection, cfg=GenerationConfig(), targets=[0, 7, 1])
+        results = _run(toy_fit, "full", toy_ood[:3], targets=[0, 7, 1])
         assert [r.failed for r in results] == [False, True, False]
         assert results[1].error == "UnknownClass: target class 7 not in [0, 2)"
 
@@ -702,14 +675,12 @@ class TestBatch:
         for variant in ("full", "cfi"):
             with pytest.raises(DimensionMismatch):
                 counterfactual.batch_generate(
-                    np.zeros((2, 3)), variant=variant,
+                    np.zeros((2, 3)), [0, 0], variant=variant,
                     **_variant_kwargs(toy_fit, variant, toy_classifier))
 
     def test_diverging_row_is_isolated(self, toy_fit, toy_ood):
         rows = np.vstack([toy_ood[0], np.array([1e200, 1e200]), toy_ood[1]])
-        results = counterfactual.batch_generate(
-            rows, variant="full", model=toy_fit.model,
-            projection=toy_fit.projection, cfg=GenerationConfig())
+        results = _run(toy_fit, "full", rows)
         assert [r.failed for r in results] == [False, True, False]
         assert "NonFiniteLoss" in results[1].error
 
@@ -719,23 +690,21 @@ class TestBatch:
         # whose standardization overflows
         bad = np.array([1.7e308, -1.7e308] if variant == "cfi" else [1e200, 1e200])
         rows = np.vstack([toy_ood[0], bad, toy_ood[1]])
-        kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+        targets = _targets(toy_fit, variant, toy_classifier, rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = counterfactual.batch_generate(rows, variant=variant, **kwargs)
+            results = _run(toy_fit, variant, rows, toy_classifier, targets=targets)
         assert [r.failed for r in results] == [False, True, False]
         with pytest.raises(NonFiniteLoss) as info, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's own
             if variant == "cfi":
-                t = int(np.argmax(predict_proba(toy_classifier, bad)))
-                _oracle_cfi(bad, toy_classifier, CfiConfig(), t)
+                _oracle_cfi(bad, toy_classifier, CfiConfig(), targets[1])
             else:
-                t = counterfactual.select_target(toy_fit.model, toy_fit.projection, bad)
                 _oracle_generate(bad, toy_fit.model, toy_fit.projection,
-                                 GenerationConfig(), variant, t)
+                                 GenerationConfig(), variant, targets[1])
         assert results[1].error == f"NonFiniteLoss: {info.value}"
         for i in (0, 2):
-            single = counterfactual.batch_generate(rows[i], variant=variant, **kwargs)[0]
+            [single] = _run(toy_fit, variant, rows[i], toy_classifier, targets=targets[i:i + 1])
             assert np.array_equal(results[i].x_counterfactual, single.x_counterfactual)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -743,28 +712,18 @@ class TestBatch:
                                          variant):
         # the per-row loops passed a NaN starting loss as a finished row
         rows = np.vstack([toy_ood[0], [np.inf, 0.0]])
-        kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
+        targets = _targets(toy_fit, variant, toy_classifier, rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = counterfactual.batch_generate(rows, variant=variant, **kwargs)
+            results = _run(toy_fit, variant, rows, toy_classifier, targets=targets)
         assert not results[0].failed
         assert "diverged at step 1" in results[1].error
-
-    def test_one_row_divergence_raises_with_trajectory(self, toy_fit):
-        with pytest.raises(NonFiniteLoss, match="non_dis phase diverged at step 1") as info:
-            counterfactual.generate(np.array([1e200, 1e200]), toy_fit.model,
-                                    toy_fit.projection, GenerationConfig())
-        trace = info.value.trajectory
-        assert trace.phase == "non_dis" and trace.steps == 0
-        assert trace.points.shape == (1, 2)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_unrecorded_run_matches_recorded(self, toy_fit, toy_ood, toy_classifier,
                                              variant):
-        kwargs = _variant_kwargs(toy_fit, variant, toy_classifier)
-        recorded = counterfactual.batch_generate(toy_ood[:10], variant=variant, **kwargs)
-        bare = counterfactual.batch_generate(toy_ood[:10], variant=variant,
-                                             record=False, **kwargs)
+        recorded = _run(toy_fit, variant, toy_ood[:10], toy_classifier)
+        bare = _run(toy_fit, variant, toy_ood[:10], toy_classifier, record=False)
         for a, b in zip(recorded, bare):
             assert b.trajectories == [] and len(a.trajectories) >= 1
             assert np.array_equal(a.x_counterfactual, b.x_counterfactual)
@@ -775,8 +734,7 @@ class TestBatch:
     def test_select_target_batch(self, toy_fit, toy_ood):
         batch = counterfactual.select_target(toy_fit.model, toy_fit.projection, toy_ood)
         assert batch.dtype.kind == "i" and batch.shape == (len(toy_ood),)
-        singles = [counterfactual.select_target(toy_fit.model, toy_fit.projection, x)
-                   for x in toy_ood]
-        assert all(type(t) is int for t in singles)
+        singles = [counterfactual.select_target(toy_fit.model, toy_fit.projection,
+                                                x[None])[0] for x in toy_ood]
         assert batch.tolist() == singles
         assert set(singles) == {0, 1}

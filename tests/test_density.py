@@ -115,14 +115,14 @@ class TestNllDis:
         Y = np.array([0] * 40 + [1] * 40)
         model = fit_density(Z, Y, tiny_partition([0], [1]))
         z = np.array([0.3])
-        assert density.nll_dis(model, z) == \
+        assert density.nll_dis(model, z[None])[0] == \
             pytest.approx(nll_dis_target(model, z, target=0), abs=1e-12)
 
     def test_none_equals_loop_minimum(self, toy_fit):
         gen = np.random.default_rng(4)
         for _ in range(100):
             z = gen.normal(size=len(toy_fit.part.z_d)) * 4
-            got = density.nll_dis(toy_fit.model, z)
+            got = density.nll_dis(toy_fit.model, z[None])[0]
             oracle = min(nll_dis_target(toy_fit.model, z, target=c)
                          for c in range(toy_fit.model.n_classes))
             assert got == oracle
@@ -177,12 +177,12 @@ class TestMahalanobis:
         Y = gen.integers(0, 2, size=100)
         scorer = fit_mahalanobis(Z, Y)
         mean0 = Z[Y == 0].mean(axis=0)
-        assert scorer.score(mean0) == pytest.approx(0.0, abs=1e-18)
+        assert scorer.score(mean0[None])[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_identity_covariance_hand_value(self):
         comp = density.GaussianComponent.from_moments([0.0, 0.0], np.eye(2))
         scorer = density.MahalanobisScorer(components=[comp])
-        assert scorer.score(np.array([1.0, 1.0])) == pytest.approx(2.0, abs=1e-12)
+        assert scorer.score(np.array([[1.0, 1.0]]))[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_marginal_pools_all_rows_hand_value(self):
         # two point-symmetric classes at x = +-3: pooled mean 0, and pooled
@@ -204,8 +204,8 @@ class TestMahalanobis:
         Y = gen.integers(0, 2, size=200)
         q = gen.normal(size=3)
         shift = np.array([5.0, -7.0, 11.0])
-        a = fit_mahalanobis(Z, Y).score(q)
-        b = fit_mahalanobis(Z + shift, Y).score(q + shift)
+        a = fit_mahalanobis(Z, Y).score(q[None])[0]
+        b = fit_mahalanobis(Z + shift, Y).score((q + shift)[None])[0]
         assert a == pytest.approx(b, abs=1e-8)
         am = fit_marginal(Z, Y).score(q)
         bm = fit_marginal(Z + shift, Y).score(q + shift)

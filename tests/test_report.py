@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from conftest import id_scores
+from conftest import density_counterfactuals, id_scores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodcf import counterfactual, report
-from oodcf.counterfactual import GenerationConfig
 from oodcf.errors import DimensionMismatch, EmptyInput, NonFiniteLoss, OodcfError
 
 
@@ -201,10 +200,7 @@ class TestEvaluateRun:
         assert row.auroc >= 0.99
 
     def test_schema_fields(self, toy_fit, toy_ood):
-        cfg = GenerationConfig()
-        results = counterfactual.batch_generate(
-            toy_ood[:20], variant="full", model=toy_fit.model,
-            projection=toy_fit.projection, cfg=cfg)
+        results = density_counterfactuals(toy_fit, toy_ood[:20])
         row = report.evaluate_run(results, id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection,
                                   approach="OOD CF")
@@ -280,9 +276,8 @@ class TestRepeatAndAggregate:
         with pytest.raises(EmptyInput, match="seed 4"):
             report.repeat_and_aggregate(boom, [3, 4, 5])
 
-    def test_failing_seed_keeps_trajectory(self):
-        trajectory = np.arange(6.0).reshape(3, 2)
-        original = NonFiniteLoss("loss became nan", trajectory=trajectory)
+    def test_failing_seed_reraises_its_exception(self):
+        original = NonFiniteLoss("loss became nan")
 
         def boom(seed):
             raise original
@@ -290,7 +285,6 @@ class TestRepeatAndAggregate:
         with pytest.raises(NonFiniteLoss, match="seed 5: loss became nan") as info:
             report.repeat_and_aggregate(boom, [5, 6])
         assert info.value is original
-        assert info.value.trajectory is trajectory
 
     def test_failing_seed_with_two_argument_exception(self):
         class Pair(OodcfError):
