@@ -34,6 +34,8 @@ COMMANDS = (
     ("wine_run_traj", ["run", *WINE, "--seeds", "0,1", "--emit-trajectories"]),
     ("toy_run_traj", ["run", "--n-ood", "500", "--seeds", "0", "--emit-trajectories"]),
     ("toy_run_seeds", ["run", "--n-ood", "500", "--seeds", "0,1,2"]),
+    ("toy_run_q90_dn", ["run", "--n-ood", "200", "--seeds", "0", "--stop-quantile", "0.9",
+                        "--order", "dn", "--emit-trajectories"]),
     ("toy_1e5", ["toy", *TOY_1E5, "--seeds", "0,1,2,3,4"]),
     ("toy_traj", ["toy", "--seeds", "0", "--emit-trajectories"]),
     ("score_toy_1e5", ["score", *TOY_1E5, "--seeds", "0"]),

@@ -91,30 +91,29 @@ class GaussianComponent:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def _check(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.dim:
-            raise DimensionMismatch(f"point has dim {z.shape[-1]}, component has {self.dim}")
-        return z
+    def _check(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.dim:
+            raise DimensionMismatch(f"rows have shape {Z.shape}, component has dim {self.dim}")
+        return Z
 
-    def nll(self, z: np.ndarray):
-        """Exact negative log-density (natural log); vector or batch.
+    def nll(self, Z: np.ndarray) -> np.ndarray:
+        """Exact negative log-density (natural log) of each row of Z.
 
         Overflow to +inf is tolerated here; the optimizer uses it to detect
         divergence.
         """
-        return 0.5 * (self.dim * LOG_2PI + self.log_det + self.mahalanobis_sq(z))
+        return 0.5 * (self.dim * LOG_2PI + self.log_det + self.mahalanobis_sq(Z))
 
-    def mahalanobis_sq(self, z: np.ndarray):
-        """(z - mean)^T Sigma^{-1} (z - mean); vector or batch. A batch is
-        whitened `_ROW_CHUNK` rows at a time, so its temporaries stay small."""
-        z = self._check(z)
-        rows = np.atleast_2d(z)
-        quad = np.empty(len(rows))
-        for start in range(0, len(rows), _ROW_CHUNK):
+    def mahalanobis_sq(self, Z: np.ndarray) -> np.ndarray:
+        """(z - mean)^T Sigma^{-1} (z - mean) for each row z of Z, whitened
+        `_ROW_CHUNK` rows at a time, so its temporaries stay small."""
+        Z = self._check(Z)
+        quad = np.empty(len(Z))
+        for start in range(0, len(Z), _ROW_CHUNK):
             chunk = slice(start, start + _ROW_CHUNK)
-            quad[chunk] = whitened_sq(self.chol, (rows[chunk] - self.mean).T)
-        return float(quad[0]) if z.ndim == 1 else quad
+            quad[chunk] = whitened_sq(self.chol, (Z[chunk] - self.mean).T)
+        return quad
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,7 @@ class RunConfig:
 
     def generation(self) -> GenerationConfig:
         return GenerationConfig(order=self.order, step_size=self.alpha,
-                                max_iter=self.max_iter, stop_quantile=self.stop_quantile)
+                                max_iter=self.max_iter)
 
     def cfi(self) -> CfiConfig:
         return CfiConfig(lam=self.cfi_lambda, step_size=self.alpha,
@@ -315,14 +315,7 @@ def fit_pipeline(cfg: RunConfig, seed: int, keep_train: bool = False) -> Pipelin
     # the seed's one moment pass: the search, the model and both baselines use it
     moments = class_moments(Z_train, labels)
     part = search_partition(moments, Z_test[~ood_flag], slack=cfg.slack, cap=cfg.cap)
-    model = fit_partition_density(Z_train, labels, moments, part)
-    # every descent reads one quantile of each train NLL array, and its
-    # one-value array gives that quantile back exactly
-    def cut(nlls):
-        return np.quantile(nlls, cfg.stop_quantile, keepdims=True)
-    model = replace(model, non_dis_train_nlls=cut(model.non_dis_train_nlls),
-                    dis_train_nlls=list(map(cut, model.dis_train_nlls)),
-                    joint_train_nlls=list(map(cut, model.joint_train_nlls)))
+    model = fit_partition_density(Z_train, labels, moments, part, cfg.stop_quantile)
     return PipelineFit(projection, part, moments, model, Z_test, ood_flag, ood, names, kept)
 
 
@@ -685,12 +678,10 @@ def cmd_run(cfg: RunConfig) -> int:
             for variant in cfg.variants)
         write_csv(out / f"counterfactuals_seed{seed}.csv", header, rows, cfg)
         if cfg.emit_trajectories:
-            # cfi iterates in the classifier's own space; rows stream variant
-            # by variant into the file
             traj_rows = itertools.chain.from_iterable(
                 _traj_rows(fit.model, fit.projection, results_cache[(seed, variant)],
                            approach_names[variant])
-                for variant in cfg.variants if variant != "cfi")
+                for variant in cfg.variants)
             write_csv(out / f"trajectories_seed{seed}.csv",
                       _traj_header(names), traj_rows, cfg)
     return 0

@@ -6,9 +6,9 @@ All descent happens in standardized input space, where the PCA loadings are
 orthonormal: a step that descends one partition's NLL provably cannot move
 the other partition's latent coordinates. Each phase runs plain gradient
 descent x' <- x' - alpha * g and stops early once that partition's NLL
-falls to the configured quantile of the ID training NLLs. A safeguard
-halves alpha after two consecutive NLL increases so a too-large step cannot
-diverge.
+falls to its stop NLL, the quantile of the ID training NLLs that the
+density fit holds. A safeguard halves alpha after two consecutive NLL
+increases so a too-large step cannot diverge.
 
 Every variant runs on one engine, `_descend`, which steps a whole row batch
 at a time and drops a row from its active set once the row is done. Its
@@ -51,7 +51,6 @@ class GenerationConfig:
     order: str = "non_dis_first"
     step_size: float = 0.05      # alpha, in standardized input space
     max_iter: int = 500          # per step
-    stop_quantile: float = 0.5   # stop at this quantile of ID-train NLLs
 
     def __post_init__(self):
         if self.order not in ORDERS:
@@ -60,8 +59,6 @@ class GenerationConfig:
             raise OutOfRange("step_size must be > 0")
         if self.max_iter < 1:
             raise OutOfRange("max_iter must be >= 1")
-        if not 0.0 < self.stop_quantile <= 1.0:
-            raise OutOfRange("stop_quantile must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,6 @@ class PhaseTrace:
     phase: str                 # non_dis | dis | joint | cfi
     points: np.ndarray         # (steps+1, d) standardized iterates
     losses: np.ndarray         # (steps+1,) optimized loss per iterate
-    threshold: float | None
     steps: int
 
 
@@ -255,12 +251,12 @@ class _Descent:
     traces: list | None    # per-row PhaseTrace when recorded
 
 
-def _descend(U0, objective, step_size, max_iter, thresholds=None,
+def _descend(U0, objective, step_size, max_iter, thresholds,
              record=False) -> _Descent:
     """Descend every row of U0 at once.
 
-    A row stays active until its loss falls to its threshold (a gradient
-    objective), it stops moving (a proximal one), it has taken max_iter
+    A row stays active until its loss falls to its threshold (-inf for
+    none), it stops moving (a proximal objective), it has taken max_iter
     steps, or its loss turns non-finite; the last flags the row with a
     NonFiniteLoss and leaves the others running. A row that starts from a
     non-finite loss takes a step too, so it cannot pass unflagged. A
@@ -286,7 +282,7 @@ def _descend(U0, objective, step_size, max_iter, thresholds=None,
     # and thresholds
     rows, u, f = np.arange(n), U.copy(), loss0.copy()
     alpha, rises = np.full(n, float(step_size)), np.zeros(n, dtype=int)
-    th = np.full(n, -np.inf) if thresholds is None else np.asarray(thresholds, dtype=float)
+    th = np.asarray(thresholds, dtype=float)
 
     def retire(mask, taken):
         """Write the rows outside `mask` back with `taken` steps, keep the rest."""
@@ -297,10 +293,9 @@ def _descend(U0, objective, step_size, max_iter, thresholds=None,
         alpha, rises, th = alpha[mask], rises[mask], th[mask]
         objective.keep(mask)
 
-    if thresholds is not None:
-        below = f <= th  # a non-finite start is not below: it steps, and is flagged
-        if below.any():
-            retire(~below, 0)
+    below = f <= th  # a non-finite start is not below: it steps, and is flagged
+    if below.any():
+        retire(~below, 0)
     for t in range(max_iter):
         if rows.size == 0:
             break
@@ -321,17 +316,15 @@ def _descend(U0, objective, step_size, max_iter, thresholds=None,
         u, f, cache = new, new_loss, new_cache
         if record:
             points[t + 1, rows], losses[t + 1, rows] = u, f
-        if thresholds is not None:
-            above = f > th
-            if not above.all():
-                retire(above, t + 1)
+        above = f > th
+        if not above.all():
+            retire(above, t + 1)
     retire(np.zeros(rows.size, dtype=bool), max_iter)
 
     traces = None
     if record:
         traces = [PhaseTrace(objective.phase, points[:s + 1, i].copy(),
-                             losses[:s + 1, i].copy(),
-                             None if thresholds is None else float(thresholds[i]), int(s))
+                             losses[:s + 1, i].copy(), int(s))
                   for i, s in enumerate(steps)]
     errors = {i: NonFiniteLoss(msg) for i, msg in messages.items()}
     return _Descent(U=U, loss0=loss0, loss=loss, steps=steps, errors=errors, traces=traces)
@@ -353,14 +346,16 @@ def _phases(variant: str, order: str) -> tuple:
 
 
 def _phase_gaussians(model, projection, phase, targets):
-    """Latent dims of a phase and each row's Gaussian over them."""
+    """Latent dims of a phase, each row's Gaussian over them, and each row's
+    stop NLL."""
     if phase == "non_dis":
-        comps, dims, targets = [model.non_dis], model.partition.z_n, np.zeros_like(targets)
+        comps, dims, stops = [model.non_dis], model.partition.z_n, np.array([model.non_dis_stop])
+        targets = np.zeros_like(targets)
     elif phase == "dis":
-        comps, dims = model.dis_per_class, model.partition.z_d
+        comps, dims, stops = model.dis_per_class, model.partition.z_d, model.dis_stop
     else:  # joint: all latent dims under the class-conditional joint Gaussian
-        comps, dims = model.joint_per_class, range(projection.k)
-    return list(dims), _RowGaussians.gather(comps, targets)
+        comps, dims, stops = model.joint_per_class, range(projection.k), model.joint_stop
+    return list(dims), _RowGaussians.gather(comps, targets), stops[targets]
 
 
 def _partition_nlls(model, projection, U, targets, joint: bool) -> dict:
@@ -368,7 +363,7 @@ def _partition_nlls(model, projection, U, targets, joint: bool) -> dict:
     Z = np.einsum("nj,jk->nk", U, projection.loadings)
     out = {}
     for phase in ("non_dis", "dis", "joint") if joint else ("non_dis", "dis"):
-        dims, g = _phase_gaussians(model, projection, phase, targets)
+        dims, g, _ = _phase_gaussians(model, projection, phase, targets)
         out[phase] = g.nll(g.whiten(Z[:, dims]))
     return out
 
@@ -383,14 +378,10 @@ def _density_rows(X, variant, model, projection, cfg, targets, record):
     steps = [{} for _ in range(n)]
     live = np.arange(n)
     phases = _phases(variant, cfg.order)
-    # the pooled non-dis quantile ignores the class argument
-    quantiles = {phase: np.array([model.train_quantile(phase, cfg.stop_quantile, c)
-                                  for c in range(model.n_classes)]) for phase in phases}
     for phase in phases:
-        dims, gaussians = _phase_gaussians(model, projection, phase, targets[live])
+        dims, gaussians, stops = _phase_gaussians(model, projection, phase, targets[live])
         objective = _NllObjective(jacobian(projection, dims), gaussians, phase)
-        run = _descend(U[live], objective, cfg.step_size, cfg.max_iter,
-                       quantiles[phase][targets[live]], record)
+        run = _descend(U[live], objective, cfg.step_size, cfg.max_iter, stops, record)
         U[live] = run.U
         for j, i in enumerate(live):
             steps[i][phase] = int(run.steps[j])
@@ -420,9 +411,9 @@ def _density_rows(X, variant, model, projection, cfg, targets, record):
 def _cfi_rows(X, classifiers: _RowClassifiers, cfg, targets, record):
     """Run the CFI descent on the rows of X, each under its own classifier."""
     U0 = classifiers.transform(X)
-    run = _descend(U0, _CfiObjective(classifiers, U0, targets, cfg), cfg.step_size,
-                   cfg.max_iter, record=record)
     rows = np.arange(X.shape[0])
+    run = _descend(U0, _CfiObjective(classifiers, U0, targets, cfg), cfg.step_size,
+                   cfg.max_iter, np.full(len(rows), -np.inf), record)
     q_before = classifiers.proba(U0)[rows, targets]
     q_after = classifiers.proba(run.U)[rows, targets]
     delta = (run.U - U0) * classifiers.scale

@@ -99,18 +99,6 @@ class LabeledDataset:
         id_labels = self.class_label[~self.ood_flag]
         return int(id_labels.max()) + 1 if id_labels.size else 0
 
-    def id_rows(self) -> "LabeledDataset":
-        keep = ~self.ood_flag
-        return LabeledDataset(
-            self.features[keep], self.class_label[keep], self.ood_flag[keep],
-            self.feature_names, self.provenance)
-
-    def ood_rows(self) -> "LabeledDataset":
-        keep = self.ood_flag
-        return LabeledDataset(
-            self.features[keep], self.class_label[keep], self.ood_flag[keep],
-            self.feature_names, self.provenance)
-
 
 @dataclass(frozen=True)
 class OodRule:

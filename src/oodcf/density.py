@@ -4,7 +4,8 @@ OOD scores, and the two Mahalanobis baselines.
 The non-discriminative dims get one pooled Gaussian over all ID train rows;
 the discriminative dims get one Gaussian per ID class. NLLs use the natural
 log (base 2 is reserved for entropies), and every Gaussian is cut from the
-seed's `ClassMoments`. Training NLLs are kept for the quantile stop rules.
+seed's `ClassMoments`. The fit also holds the NLL where each descent phase
+stops: a quantile of that Gaussian's ID-train NLLs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gaussian import ClassMoments, GaussianComponent, class_moments
-from .errors import DimensionMismatch, UnknownClass
+from .errors import DimensionMismatch, OutOfRange
 from .partition import Partition
 
 __all__ = [
@@ -29,39 +30,30 @@ class PartitionDensityModel:
     """Pooled Gaussian over z_n dims, class-conditional Gaussians over z_d dims.
 
     `joint_per_class` holds class-conditional Gaussians over all latent dims
-    for the single-Gaussian ablation. The *_train_nlls arrays are the
-    training NLLs (per class for the class-conditional families, own-class
-    rows only), in train row order, used for quantile stopping rules.
+    for the single-Gaussian ablation. A descent phase stops at its *_stop
+    NLL: the stop quantile of that Gaussian's train NLLs (own-class rows
+    for the per-class Gaussians, one value per class).
     """
 
     non_dis: GaussianComponent
     dis_per_class: list[GaussianComponent]
     joint_per_class: list[GaussianComponent]
     partition: Partition
-    non_dis_train_nlls: np.ndarray
-    dis_train_nlls: list[np.ndarray]
-    joint_train_nlls: list[np.ndarray]
+    non_dis_stop: float
+    dis_stop: np.ndarray    # (C,)
+    joint_stop: np.ndarray  # (C,)
 
     @property
     def n_classes(self) -> int:
         return len(self.dis_per_class)
 
-    def train_quantile(self, phase: str, q: float, target: int | None = None) -> float:
-        """q-quantile of the ID-train NLLs for a generation phase."""
-        if phase == "non_dis":
-            return float(np.quantile(self.non_dis_train_nlls, q))
-        if target is None or not 0 <= target < self.n_classes:
-            raise UnknownClass(f"phase {phase!r} needs a valid target class, got {target}")
-        if phase == "dis":
-            return float(np.quantile(self.dis_train_nlls[target], q))
-        if phase == "joint":
-            return float(np.quantile(self.joint_train_nlls[target], q))
-        raise ValueError(f"unknown phase {phase!r}")
-
 
 def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: ClassMoments,
-                          partition: Partition) -> PartitionDensityModel:
-    """Gaussians cut from the `moments` of (Z_train, Y_train), and their train NLLs."""
+                          partition: Partition, stop_quantile: float) -> PartitionDensityModel:
+    """Gaussians cut from the `moments` of (Z_train, Y_train), and the
+    `stop_quantile` of their train NLLs."""
+    if not 0.0 < stop_quantile <= 1.0:
+        raise OutOfRange("stop_quantile must lie in (0, 1]")
     Z_train = np.atleast_2d(np.asarray(Z_train, dtype=float))
     Y_train = np.asarray(Y_train)
     if not Z_train.shape[1] == len(moments.mean) == partition.k:
@@ -69,15 +61,18 @@ def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: Cla
             f"latents have {Z_train.shape[1]} dims, moments {len(moments.mean)}, "
             f"partition covers {partition.k}")
 
+    def stop(component, rows):
+        return float(np.quantile(component.nll(rows), stop_quantile))
+
     zn, zd = list(partition.z_n), list(partition.z_d)
     non_dis = moments.gaussian(zn)
-    dis_per_class, joint_per_class, dis_nlls, joint_nlls = [], [], [], []
+    dis_per_class, joint_per_class, dis_stop, joint_stop = [], [], [], []
     for c in range(len(moments.counts)):
         rows = Z_train[Y_train == c]
         dis_per_class.append(moments.gaussian(zd, c))
         joint_per_class.append(moments.gaussian(range(partition.k), c))
-        dis_nlls.append(dis_per_class[c].nll(rows[:, zd]))
-        joint_nlls.append(joint_per_class[c].nll(rows))
+        dis_stop.append(stop(dis_per_class[c], rows[:, zd]))
+        joint_stop.append(stop(joint_per_class[c], rows))
         del rows  # one class's rows at a time
 
     return PartitionDensityModel(
@@ -85,9 +80,9 @@ def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: Cla
         dis_per_class=dis_per_class,
         joint_per_class=joint_per_class,
         partition=partition,
-        non_dis_train_nlls=non_dis.nll(Z_train[:, zn]),
-        dis_train_nlls=dis_nlls,
-        joint_train_nlls=joint_nlls,
+        non_dis_stop=stop(non_dis, Z_train[:, zn]),
+        dis_stop=np.array(dis_stop),
+        joint_stop=np.array(joint_stop),
     )
 
 
@@ -132,5 +127,5 @@ class MarginalMahalanobisScorer:
     def fit(cls, moments: ClassMoments) -> "MarginalMahalanobisScorer":
         return cls(component=moments.gaussian(range(len(moments.mean))))
 
-    def score(self, z: np.ndarray):
-        return self.component.mahalanobis_sq(z)
+    def score(self, Z: np.ndarray) -> np.ndarray:
+        return self.component.mahalanobis_sq(Z)

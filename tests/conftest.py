@@ -8,6 +8,22 @@ from oodcf import counterfactual, dataset, density, partition, projection
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WINE_LIKE = DATA_DIR / "wine_like.csv"
+STOP_QUANTILE = 0.5  # the `--stop-quantile` default
+
+
+def _rows(ds: dataset.LabeledDataset, keep) -> dataset.LabeledDataset:
+    return dataset.LabeledDataset(ds.features[keep], ds.class_label[keep], ds.ood_flag[keep],
+                                  ds.feature_names, ds.provenance)
+
+
+def id_rows(ds: dataset.LabeledDataset) -> dataset.LabeledDataset:
+    """The ID rows of `ds`, in order."""
+    return _rows(ds, ~ds.ood_flag)
+
+
+def ood_rows(ds: dataset.LabeledDataset) -> dataset.LabeledDataset:
+    """The OOD rows of `ds`, in order."""
+    return _rows(ds, ds.ood_flag)
 
 
 @dataclass
@@ -28,7 +44,7 @@ def fit_toy(seed=0, n_per_class=1000, n_ood=1000) -> FittedToy:
     proj = projection.fit_projection(
         train.features[~train.ood_flag], 2, with_scaling=False)
     Z_train = projection.project(proj, train.features)
-    Z_eval = projection.project(proj, test.id_rows().features)
+    Z_eval = projection.project(proj, id_rows(test).features)
     return _fit(train, test, proj, Z_train, Z_eval)
 
 
@@ -39,14 +55,15 @@ def fit_wine(seed=0) -> FittedToy:
     proj = projection.fit_projection(
         train.features[~train.ood_flag], train.n_features, with_scaling=True)
     Z_train = projection.project(proj, train.features)
-    Z_eval = projection.project(proj, test.id_rows().features)
+    Z_eval = projection.project(proj, id_rows(test).features)
     return _fit(train, test, proj, Z_train, Z_eval)
 
 
 def _fit(train, test, proj, Z_train, Z_eval) -> FittedToy:
     moments = density.class_moments(Z_train, train.class_label)
     part = partition.search_partition(moments, Z_eval)
-    model = density.fit_partition_density(Z_train, train.class_label, moments, part)
+    model = density.fit_partition_density(Z_train, train.class_label, moments, part,
+                                          STOP_QUANTILE)
     return FittedToy(train=train, test=test, projection=proj, part=part, moments=moments,
                      model=model, Z_train=Z_train, Z_eval=Z_eval)
 
@@ -102,9 +119,9 @@ def mode_nll(component) -> float:
     return 0.5 * (component.dim * np.log(2.0 * np.pi) + component.log_det)
 
 
-def nll_dis_target(model, z_d, target: int):
-    """NLL of z_d under class `target`'s discriminative Gaussian."""
-    return model.dis_per_class[target].nll(z_d)
+def nll_dis_target(model, z_d, target: int) -> float:
+    """NLL of the one row z_d under class `target`'s discriminative Gaussian."""
+    return model.dis_per_class[target].nll(z_d[None])[0]
 
 
 def density_counterfactuals(fit: FittedToy, X, variant="full") -> list:
@@ -148,4 +165,4 @@ def wine_fit() -> FittedToy:
 
 @pytest.fixture(scope="session")
 def toy_ood(toy_fit) -> np.ndarray:
-    return toy_fit.test.ood_rows().features
+    return ood_rows(toy_fit.test).features

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (conditional_entropy, density_counterfactuals, fit_qda, fit_toy, grad_nll,
-                      id_scores, predict_proba)
+                      id_rows, id_scores, ood_rows, predict_proba)
 from oodcf import cli, counterfactual, dataset, density, projection, report
 from oodcf.counterfactual import CfiConfig
 
@@ -28,8 +28,8 @@ def verdict(num, ok, detail):
 def toy_detection_aurocs(seed):
     """Custom-metric and Mahalanobis AUROCs for one toy seed."""
     fit = fit_toy(seed=seed)
-    id_test = fit.test.id_rows().features
-    ood = fit.test.ood_rows().features
+    id_test = id_rows(fit.test).features
+    ood = ood_rows(fit.test).features
     Zid = projection.project(fit.projection, id_test)
     Zood = projection.project(fit.projection, ood)
     ln_i, ld_i = density.ood_scores(fit.model, Zid)
@@ -131,7 +131,8 @@ def test_criterion_04_gradient_finite_differences(toy_fit, wine_fit):
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = eps
-                fd[i] = (comp.nll(J @ (u + e)) - comp.nll(J @ (u - e))) / (2 * eps)
+                fd[i] = (comp.nll((J @ (u + e))[None])[0]
+                         - comp.nll((J @ (u - e))[None])[0]) / (2 * eps)
             rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -143,7 +144,7 @@ def test_criterion_04_gradient_finite_differences(toy_fit, wine_fit):
 @pytest.fixture(scope="module")
 def toy_cf_batch():
     fit = fit_toy(seed=0, n_per_class=500, n_ood=200)
-    return fit, density_counterfactuals(fit, fit.test.ood_rows().features)
+    return fit, density_counterfactuals(fit, ood_rows(fit.test).features)
 
 
 def test_criterion_05_step_decoupling(toy_cf_batch):
@@ -164,7 +165,7 @@ def test_criterion_05_step_decoupling(toy_cf_batch):
 
 def test_criterion_06_descent_contract(toy_cf_batch, wine_fit):
     fit, results = toy_cf_batch
-    wine_results = density_counterfactuals(wine_fit, wine_fit.test.ood_rows().features)
+    wine_results = density_counterfactuals(wine_fit, ood_rows(wine_fit.test).features)
     checked = strict_violations = phase_violations = endpoint_violations = 0
     for res in list(results) + list(wine_results):
         assert not res.failed
@@ -217,7 +218,7 @@ def test_criterion_08_ablation_ordering():
     totals = {v: [] for v in ("full", "sg", "sn", "sd")}
     for seed in SEEDS:
         fit = fit_toy(seed=seed, n_per_class=500, n_ood=200)
-        ood = fit.test.ood_rows().features
+        ood = ood_rows(fit.test).features
         for variant in totals:
             results = density_counterfactuals(fit, ood, variant)
             row = report.evaluate_run(results, id_scores(fit), fit.model, fit.projection)
@@ -254,10 +255,10 @@ def test_criterion_09_tabular_end_to_end(tmp_path, capsys):
 
 def test_criterion_10_cfi_crossing_and_l1_monotonicity():
     fit = fit_toy(seed=0, n_per_class=500, n_ood=200)
-    id_train = fit.train.id_rows()
+    id_train = id_rows(fit.train)
     [clf] = counterfactual.train_softmax_classifier(
         [(id_train.features, id_train.class_label)], [0])
-    ood = fit.test.ood_rows().features
+    ood = ood_rows(fit.test).features
     targets = counterfactual.select_target(fit.model, fit.projection, ood)
 
     def run(lam):

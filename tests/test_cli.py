@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from oodcf import cli, dataset
 from oodcf.counterfactual import PhaseTrace, batch_generate, train_softmax_classifier
 from oodcf.dataset import OodRule
-from oodcf.density import MahalanobisScorer, MarginalMahalanobisScorer, ood_scores
+from oodcf.density import (MahalanobisScorer, MarginalMahalanobisScorer,
+                           fit_partition_density, ood_scores)
 from oodcf.errors import ConfigError, RankDeficientWarning
 from oodcf.projection import project
 from oodcf.report import auroc
@@ -187,6 +188,16 @@ class TestRunCommand:
         assert rows[0][:4] == ["row_id", "variant", "phase", "step"]
         assert rows[0][-2:] == ["nll_non_dis", "nll_dis"]
         assert len(rows) > 10
+
+    def test_stop_quantile_reaches_the_fit(self):
+        # a seed's stop NLLs are those of a direct fit at --stop-quantile
+        fit = cli.fit_pipeline(cli.RunConfig(n_per_class=300, n_ood=30, stop_quantile=0.9), 0,
+                               keep_train=True)
+        want = fit_partition_density(project(fit.projection, fit.train.features),
+                                     fit.train.class_label, fit.moments, fit.partition, 0.9)
+        assert fit.model.non_dis_stop == want.non_dis_stop
+        assert np.array_equal(fit.model.dis_stop, want.dis_stop)
+        assert np.array_equal(fit.model.joint_stop, want.joint_stop)
 
 
 class TestPartitionCommand:
@@ -997,7 +1008,7 @@ class TestStreamedRows:
             left -= lengths[-1]
         results = [types.SimpleNamespace(target_class=i % 2, trajectories=[
             PhaseTrace(("non_dis", "dis", "joint")[i % 3], gen.normal(size=(m, 2)) * 3,
-                       np.zeros(m), None, m - 1)]) for i, m in enumerate(lengths)]
+                       np.zeros(m), m - 1)]) for i, m in enumerate(lengths)]
         results.append(types.SimpleNamespace(target_class=1, trajectories=[]))
         header = cli._traj_header(fit.feature_names)
         cli.write_csv(tmp_path / "t.csv", header,

@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import WINE_LIKE, argmax_targets, fit_toy, fit_wine, grad_nll, predict_proba
+from conftest import (WINE_LIKE, argmax_targets, fit_toy, fit_wine, grad_nll, id_rows,
+                      ood_rows, predict_proba)
 
-from oodcf import counterfactual, dataset, projection, rng
+from oodcf import counterfactual, dataset, density, projection, rng
 from oodcf.counterfactual import ORDERS, VARIANTS, CfiConfig, GenerationConfig, PhaseTrace
 from oodcf.errors import DimensionMismatch, NonFiniteLoss, OutOfRange
 
@@ -45,8 +46,6 @@ class TestConfigs:
             GenerationConfig(order="sideways")
         with pytest.raises(OutOfRange):
             GenerationConfig(step_size=0.0)
-        with pytest.raises(OutOfRange):
-            GenerationConfig(stop_quantile=0.0)
         with pytest.raises(OutOfRange):
             GenerationConfig(max_iter=0)
 
@@ -147,7 +146,8 @@ class TestGenerate:
                 for i in range(d):
                     e = np.zeros(d)
                     e[i] = eps
-                    fd[i] = (comp.nll(J @ (u + e)) - comp.nll(J @ (u - e))) / (2 * eps)
+                    fd[i] = (comp.nll((J @ (u + e))[None])[0]
+                             - comp.nll((J @ (u - e))[None])[0]) / (2 * eps)
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(analytic - fd) / denom < 1e-5
 
@@ -155,6 +155,41 @@ class TestGenerate:
         X = np.array([[2.0, 2.0], [-2.0, 2.0]])
         assert counterfactual.select_target(toy_fit.model, toy_fit.projection,
                                             X).tolist() == [0, 1]
+
+
+class TestStopRule:
+    """A density phase that ends before max_iter without an error ends at
+    its first iterate whose loss is at or below the stop NLL that the fit
+    holds for the phase's Gaussian."""
+
+    RUNS = [("full", order) for order in ORDERS] + [(v, ORDERS[0]) for v in ("sg", "sn", "sd")]
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("kind", ["toy", "wine"])
+    def test_phase_stops_at_first_loss_at_or_below_its_stop(self, kind, q, request):
+        fit = request.getfixturevalue(f"{kind}_fit")
+        model = density.fit_partition_density(fit.Z_train, fit.train.class_label,
+                                              fit.moments, fit.part, q)
+        # OOD rows descend; ID rows mostly start below their stops
+        X = np.vstack([ood_rows(fit.test).features[:60], id_rows(fit.test).features[:20]])
+        targets = counterfactual.select_target(model, fit.projection, X)
+        moved = still = 0
+        for variant, order in self.RUNS:
+            cfg = GenerationConfig(order=order)
+            for res in counterfactual.batch_generate(X, targets, variant=variant, model=model,
+                                                     projection=fit.projection, cfg=cfg):
+                for trace in res.trajectories:  # none for a failed row
+                    if trace.steps == cfg.max_iter:
+                        continue
+                    t = res.target_class
+                    stop = {"non_dis": model.non_dis_stop, "dis": model.dis_stop[t],
+                            "joint": model.joint_stop[t]}[trace.phase]
+                    assert trace.losses[-1] <= stop
+                    if trace.steps:
+                        assert trace.losses[-2] > stop
+                    moved += trace.steps > 0
+                    still += trace.steps == 0
+        assert moved > 0 and still > 0
 
 
 class TestDecoupling:
@@ -199,7 +234,7 @@ class TestAblations:
                 projection=toy_fit.projection, cfg=GenerationConfig())
 
     def test_wine_descent_contract_all_variants(self, wine_fit):
-        ood = wine_fit.test.ood_rows().features
+        ood = ood_rows(wine_fit.test).features
         for variant in ("full", "sg", "sn", "sd"):
             results = _run(wine_fit, variant, ood)
             assert not any(r.failed for r in results)
@@ -239,7 +274,7 @@ class TestCfi:
         assert np.array_equal(a.bias, b.bias)
 
     def test_classifier_separates_toy(self, toy_fit, toy_classifier):
-        id_test = toy_fit.test.id_rows()
+        id_test = id_rows(toy_fit.test)
         proba = predict_proba(toy_classifier, id_test.features)
         accuracy = (np.argmax(proba, axis=1) == id_test.class_label).mean()
         assert accuracy > 0.99
@@ -283,7 +318,7 @@ def _split(kind, seed):
 
 def _train_id_rows(kind, seed):
     """ID rows of the train split the `run` command trains CFI on."""
-    return _split(kind, seed)[0].id_rows()
+    return id_rows(_split(kind, seed)[0])
 
 
 _STACKS = {}
@@ -343,7 +378,7 @@ class TestLockStepDescent:
     @pytest.mark.parametrize("kind", ["toy", "wine"])
     def test_row_alone_in_its_seed_and_in_all_seeds(self, kind):
         _, classifiers = _seed_stack(kind)
-        oods = [_split(kind, seed)[1].ood_rows().features[:40] for seed in range(5)]
+        oods = [ood_rows(_split(kind, seed)[1]).features[:40] for seed in range(5)]
         targets = [np.arange(len(X)) % 2 for X in oods]
         everything = _cfi_batch(classifiers, np.vstack(oods),
                                 np.repeat(np.arange(5), [len(X) for X in oods]),
@@ -371,7 +406,7 @@ class TestLockStepDescent:
 
         monkeypatch.setattr(counterfactual._CfiObjective, "keep_rows", checked)
         _, classifiers = _seed_stack("toy")
-        X = np.vstack([_split("toy", seed)[1].ood_rows().features[:60] for seed in range(5)])
+        X = np.vstack([ood_rows(_split("toy", seed)[1]).features[:60] for seed in range(5)])
         # at lambda = 1 rows stop moving at many different steps, and a huge
         # row diverges
         X[7] = 1.7e308
@@ -390,7 +425,7 @@ class TestCfiGradient:
     @pytest.mark.parametrize("kind", ["toy", "wine"])
     def test_smooth_step_matches_central_differences(self, kind):
         _, classifiers = _seed_stack(kind)
-        X = _split(kind, 0)[1].ood_rows().features[:40]
+        X = ood_rows(_split(kind, 0)[1]).features[:40]
         rows = counterfactual._RowClassifiers.gather(classifiers, np.arange(len(X)) % 5)
         U = rows.transform(X)
         objective = counterfactual._CfiObjective(rows, U, np.arange(len(X)) % 2,
@@ -414,10 +449,10 @@ class TestNllGradient:
     @pytest.mark.parametrize("kind", ["toy", "wine"])
     def test_step_matches_central_differences(self, kind, phase, request):
         fit = request.getfixturevalue(f"{kind}_fit")
-        U = fit.projection.standardizer.transform(fit.test.ood_rows().features[:40])
+        U = fit.projection.standardizer.transform(ood_rows(fit.test).features[:40])
         targets = np.arange(len(U)) % 2
-        dims, gaussians = counterfactual._phase_gaussians(fit.model, fit.projection,
-                                                          phase, targets)
+        dims, gaussians, _ = counterfactual._phase_gaussians(fit.model, fit.projection,
+                                                             phase, targets)
         J = projection.jacobian(fit.projection, dims)
         objective = counterfactual._NllObjective(J, gaussians, phase)
         grad = U - objective.step(U, objective.loss(U)[1], np.ones(len(U)))
@@ -425,7 +460,7 @@ class TestNllGradient:
                  "joint": fit.model.joint_per_class}[phase]
 
         def nll(V):
-            return np.array([comps[t].nll(J @ v) for v, t in zip(V, targets)])
+            return np.array([comps[t].nll((J @ v)[None])[0] for v, t in zip(V, targets)])
 
         h, fd = 1e-5, np.empty_like(U)
         for j in range(U.shape[1]):
@@ -439,7 +474,8 @@ class TestNllGradient:
 # -- per-row oracle: the descent loops as they ran before the batched engine --
 # Kept verbatim apart from two helpers that pin the arithmetic of that time
 # (the gradient by two LU solves, and the class probabilities by a matmul),
-# a divergence that carries only its message, and CFI's p_t written as 1.
+# a divergence that carries only its message, CFI's p_t written as 1, each
+# NLL taken of a one-row matrix, and the stop NLLs read from the fit.
 
 def _oracle_grad_nll(component, z):
     y = np.linalg.solve(component.chol, z - component.mean)
@@ -456,21 +492,21 @@ def _oracle_proba(classifier, u):
 def _oracle_select_target(model, proj, x):
     z = projection.project(proj, np.asarray(x, dtype=float))
     z_d = z[list(model.partition.z_d)]
-    nlls = [comp.nll(z_d) for comp in model.dis_per_class]
+    nlls = [comp.nll(z_d[None])[0] for comp in model.dis_per_class]
     return int(np.argmin(nlls))
 
 
 def _oracle_descend(u0, component, J, threshold, cfg, phase):
     u = u0.copy()
     z = J @ u
-    loss = float(component.nll(z))
+    loss = float(component.nll(z[None])[0])
     points, losses = [u.copy()], [loss]
     alpha, rises, steps = cfg.step_size, 0, 0
     while steps < cfg.max_iter and loss > threshold:
         g = J.T @ _oracle_grad_nll(component, z)
         u = u - alpha * g
         z = J @ u
-        new_loss = float(component.nll(z))
+        new_loss = float(component.nll(z[None])[0])
         if not np.isfinite(new_loss):
             raise NonFiniteLoss(f"{phase} phase diverged at step {steps + 1} (alpha={alpha:g})")
         if new_loss > loss:
@@ -484,7 +520,7 @@ def _oracle_descend(u0, component, J, threshold, cfg, phase):
         steps += 1
         points.append(u.copy())
         losses.append(loss)
-    return u, PhaseTrace(phase, np.array(points), np.array(losses), threshold, steps)
+    return u, PhaseTrace(phase, np.array(points), np.array(losses), steps)
 
 
 def _oracle_generate(x, model, proj, cfg, variant, target):
@@ -493,21 +529,20 @@ def _oracle_generate(x, model, proj, cfg, variant, target):
         phases = ("non_dis", "dis") if cfg.order == "non_dis_first" else ("dis", "non_dis")
     else:
         phases = {"sg": ("joint",), "sn": ("non_dis",), "sd": ("dis",)}[variant]
-    q = cfg.stop_quantile
     plan = []
     for name in phases:
         if name == "non_dis":
             plan.append((name, model.non_dis,
                          projection.jacobian(proj, model.partition.z_n),
-                         model.train_quantile("non_dis", q)))
+                         model.non_dis_stop))
         elif name == "dis":
             plan.append((name, model.dis_per_class[target],
                          projection.jacobian(proj, model.partition.z_d),
-                         model.train_quantile("dis", q, target)))
+                         model.dis_stop[target]))
         else:
             plan.append((name, model.joint_per_class[target],
                          projection.jacobian(proj, range(proj.k)),
-                         model.train_quantile("joint", q, target)))
+                         model.joint_stop[target]))
     x = np.asarray(x, dtype=float)
     u0 = proj.standardizer.transform(x)
     u = u0
@@ -550,7 +585,7 @@ def _oracle_cfi(x, classifier, cfg, target):
         steps += 1
         points.append(u.copy())
         losses.append(loss)
-    trace = PhaseTrace("cfi", np.array(points), np.array(losses), None, steps)
+    trace = PhaseTrace("cfi", np.array(points), np.array(losses), steps)
     return x + (u - u0) * classifier.standardizer.scale, [trace], {"cfi": steps}
 
 
@@ -571,7 +606,7 @@ def _assert_matches_oracle(res, oracle):
 
 
 def _classifier(fit, seed=0):
-    id_train = fit.train.id_rows()
+    id_train = id_rows(fit.train)
     [clf] = counterfactual.train_softmax_classifier(
         [(id_train.features, id_train.class_label)], [seed])
     return clf
@@ -586,7 +621,7 @@ class TestEngineAgainstOracle:
                                            for s in range(5)])
     def test_matches_per_row_oracle(self, kind, seed):
         fit = fit_toy(seed, n_per_class=300, n_ood=30) if kind == "toy" else fit_wine(seed)
-        ood = fit.test.ood_rows().features
+        ood = ood_rows(fit.test).features
         targets = counterfactual.select_target(fit.model, fit.projection, ood)
         assert targets.tolist() == [_oracle_select_target(fit.model, fit.projection, x)
                                     for x in ood]
@@ -609,7 +644,7 @@ class TestEngineAgainstOracle:
         # at alpha=2 the NLL rises twice in a row on many rows, so the
         # step-size halving runs
         fit = fit_toy(0, n_per_class=300, n_ood=30) if kind == "toy" else fit_wine(0)
-        ood = fit.test.ood_rows().features
+        ood = ood_rows(fit.test).features
         cfg = GenerationConfig(step_size=2.0)
         targets = counterfactual.select_target(fit.model, fit.projection, ood)
         double_rises = 0
@@ -642,7 +677,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_permuted_batch_is_bit_identical(self, wine_fit, variant):
-        ood = wine_fit.test.ood_rows().features
+        ood = ood_rows(wine_fit.test).features
         clf = _classifier(wine_fit)
         base = _run(wine_fit, variant, ood, clf)
         perm = np.random.default_rng(0).permutation(len(ood))

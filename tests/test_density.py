@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mode_nll, nll_dis_target
+from conftest import STOP_QUANTILE, mode_nll, nll_dis_target
 
 from oodcf import density, projection
-from oodcf.errors import DataError, DimensionMismatch, SingularCovariance, UnknownClass
+from oodcf.errors import DataError, DimensionMismatch, OutOfRange, SingularCovariance
 from oodcf.partition import Partition
 
 
@@ -16,7 +16,8 @@ def tiny_partition(z_d, z_n):
 
 
 def fit_density(Z, Y, part):
-    return density.fit_partition_density(Z, Y, density.class_moments(Z, Y), part)
+    return density.fit_partition_density(Z, Y, density.class_moments(Z, Y), part,
+                                         STOP_QUANTILE)
 
 
 def fit_mahalanobis(Z, Y):
@@ -60,20 +61,53 @@ class TestFitPartitionDensity:
             assert comp.dim == len(wine_fit.part.z_d)
         assert model.n_classes == 2
 
-    def test_train_quantiles_are_monotone(self, toy_fit):
-        qs = [toy_fit.model.train_quantile("non_dis", q) for q in (0.1, 0.5, 0.9)]
-        assert qs[0] < qs[1] < qs[2]
+    @pytest.mark.parametrize("q", [0.0, 1.5, math.nan])
+    def test_stop_quantile_out_of_range(self, toy_fit, q):
+        with pytest.raises(OutOfRange):
+            density.fit_partition_density(toy_fit.Z_train, toy_fit.train.class_label,
+                                          toy_fit.moments, toy_fit.part, q)
+
+
+class TestStopNlls:
+    """The fit's stop NLLs are the stop quantile of each Gaussian's train
+    NLLs: every train row for the pooled z_n Gaussian, each class's own rows
+    for the class-conditional ones."""
+
+    QS = (0.1, 0.5, 0.9, 1.0)
+
+    @staticmethod
+    def oracle(comp, rows, q) -> float:
+        # one row at a time: a row's NLL does not depend on its batch
+        return np.quantile([comp.nll(z[None])[0] for z in rows], q)
+
+    @pytest.mark.parametrize("kind", ["toy", "wine"])
+    def test_exact_quantiles_of_train_nlls(self, kind, request):
+        fit = request.getfixturevalue(f"{kind}_fit")
+        Z, Y = fit.Z_train, fit.train.class_label
+        zn, zd = list(fit.part.z_n), list(fit.part.z_d)
+        stops = []
+        for q in self.QS:
+            model = density.fit_partition_density(Z, Y, fit.moments, fit.part, q)
+            assert model.non_dis_stop == self.oracle(model.non_dis, Z[:, zn], q)
+            assert model.dis_stop.shape == model.joint_stop.shape == (model.n_classes,)
+            for c in range(model.n_classes):
+                own = Z[Y == c]
+                assert model.dis_stop[c] == self.oracle(model.dis_per_class[c], own[:, zd], q)
+                assert model.joint_stop[c] == self.oracle(model.joint_per_class[c], own, q)
+            stops.append(np.concatenate([[model.non_dis_stop], model.dis_stop,
+                                         model.joint_stop]))
+        assert (np.diff(stops, axis=0) > 0).all()  # strictly rising in q
 
 
 class TestNllNonDis:
     def test_unit_gaussian_at_mean(self):
         comp = density.GaussianComponent.from_moments([0.0], [[1.0]])
-        assert comp.nll(np.array([0.0])) == pytest.approx(
+        assert comp.nll(np.array([[0.0]]))[0] == pytest.approx(
             0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_unit_gaussian_two_sigma(self):
         comp = density.GaussianComponent.from_moments([0.0], [[1.0]])
-        assert comp.nll(np.array([2.0])) == pytest.approx(
+        assert comp.nll(np.array([[2.0]]))[0] == pytest.approx(
             0.5 * math.log(2 * math.pi) + 2.0, abs=1e-12)
 
     def test_direct_formula_oracle(self, toy_fit):
@@ -87,16 +121,21 @@ class TestNllNonDis:
                 diff = z - comp.mean
                 expected = 0.5 * (comp.dim * math.log(2 * math.pi) + logdet
                                   + diff @ inv @ diff)
-                assert comp.nll(z) == pytest.approx(expected, rel=1e-9)
+                assert comp.nll(z[None])[0] == pytest.approx(expected, rel=1e-9)
 
     def test_dimension_mismatch(self, toy_fit):
+        comp = toy_fit.model.non_dis
         with pytest.raises(DimensionMismatch):
-            toy_fit.model.non_dis.nll(np.zeros(5))
+            comp.nll(np.zeros((1, 5)))
+        # a vector of the right width is one row too few dims, not a row
+        for score in (comp.nll, comp.mahalanobis_sq):
+            with pytest.raises(DimensionMismatch):
+                score(np.zeros(comp.dim))
 
     def test_mode_is_minimum(self, toy_fit):
         comp = toy_fit.model.non_dis
         gen = np.random.default_rng(2)
-        base = comp.nll(comp.mean)
+        base = comp.nll(comp.mean[None])[0]
         assert base == pytest.approx(mode_nll(comp), abs=1e-12)
         perturbed = comp.mean + gen.normal(size=(1000, comp.dim))
         assert np.all(comp.nll(perturbed) >= base)
@@ -127,17 +166,13 @@ class TestNllDis:
                          for c in range(toy_fit.model.n_classes))
             assert got == oracle
 
-    def test_unknown_class(self, toy_fit):
-        with pytest.raises(UnknownClass):
-            toy_fit.model.train_quantile("dis", 0.5, target=5)
-
 
 def ood_score(model, proj, x):
     """Per-row oracle for `ood_scores`: (l_n, l_d) of one raw input, l_d as
     the minimum over the class components."""
     z = projection.project(proj, np.asarray(x, dtype=float))
-    l_n = float(model.non_dis.nll(z[list(model.partition.z_n)]))
-    l_d = min(float(c.nll(z[list(model.partition.z_d)])) for c in model.dis_per_class)
+    l_n = float(model.non_dis.nll(z[None, list(model.partition.z_n)])[0])
+    l_d = min(float(c.nll(z[None, list(model.partition.z_d)])[0]) for c in model.dis_per_class)
     return l_n, l_d
 
 
@@ -194,7 +229,7 @@ class TestMahalanobis:
         assert np.allclose(scorer.component.cov, np.diag([12.0, 4.0 / 3.0]),
                            rtol=1e-12)
         # 6^2 / 12 + 2^2 / (4/3) = 3 + 3
-        assert scorer.score(np.array([6.0, 2.0])) == pytest.approx(6.0, rel=1e-12)
+        assert scorer.score(np.array([[6.0, 2.0]]))[0] == pytest.approx(6.0, rel=1e-12)
         assert np.allclose(scorer.score(np.array([[0.0, 0.0], [3.0, 1.0]])),
                            [0.0, 9.0 / 12.0 + 1.0 / (4.0 / 3.0)], rtol=1e-12)
 
@@ -207,8 +242,8 @@ class TestMahalanobis:
         a = fit_mahalanobis(Z, Y).score(q[None])[0]
         b = fit_mahalanobis(Z + shift, Y).score((q + shift)[None])[0]
         assert a == pytest.approx(b, abs=1e-8)
-        am = fit_marginal(Z, Y).score(q)
-        bm = fit_marginal(Z + shift, Y).score(q + shift)
+        am = fit_marginal(Z, Y).score(q[None])[0]
+        bm = fit_marginal(Z + shift, Y).score((q + shift)[None])[0]
         assert am == pytest.approx(bm, abs=1e-8)
 
     def test_min_over_classes(self, toy_fit):
@@ -217,7 +252,7 @@ class TestMahalanobis:
         pts = gen.normal(size=(50, 2)) * 3
         batch = scorer.score(pts)
         for i, z in enumerate(pts):
-            per_class = [c.mahalanobis_sq(z) for c in scorer.components]
+            per_class = [c.mahalanobis_sq(z[None])[0] for c in scorer.components]
             assert batch[i] == pytest.approx(min(per_class), rel=1e-12)
 
 
@@ -237,8 +272,8 @@ class TestWhitening:
             assert np.array_equal(comp.mahalanobis_sq(Z[perm]), maha[perm])
             assert np.array_equal(comp.nll(np.asfortranarray(Z)), nll)
             for i in range(0, len(Z), 23):
-                assert comp.nll(Z[i]) == nll[i]
-                assert comp.mahalanobis_sq(Z[i]) == maha[i]
+                assert comp.nll(Z[i:i + 1])[0] == nll[i]
+                assert comp.mahalanobis_sq(Z[i:i + 1])[0] == maha[i]
                 assert comp.nll(Z[i:i + 2])[0] == nll[i]
 
     def test_matches_a_solve_with_the_covariance(self, wine_fit):

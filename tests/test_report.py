@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import density_counterfactuals, id_scores
+from conftest import density_counterfactuals, id_rows, id_scores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,7 +188,7 @@ def fake_results(points):
 
 class TestEvaluateRun:
     def test_counterfactuals_equal_to_id_test_score_half(self, toy_fit):
-        id_test = toy_fit.test.id_rows().features
+        id_test = id_rows(toy_fit.test).features
         row = report.evaluate_run(fake_results(id_test), id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection)
         assert row.auroc == pytest.approx(0.5, abs=1e-12)
