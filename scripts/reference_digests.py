@@ -31,6 +31,7 @@ TOY_1E5 = ["--n-per-class", "100000", "--n-ood", "100000"]
 # (output directory under OUTROOT, argv without --out)
 COMMANDS = (
     ("wine_run", ["run", *WINE, "--seeds", "0,1"]),
+    ("wine_run_reordered", ["run", *WINE, "--seeds", "2,0", "--variants", "cfi,sd,full"]),
     ("wine_run_traj", ["run", *WINE, "--seeds", "0,1", "--emit-trajectories"]),
     ("toy_run_traj", ["run", "--n-ood", "500", "--seeds", "0", "--emit-trajectories"]),
     ("toy_run_seeds", ["run", "--n-ood", "500", "--seeds", "0,1,2"]),

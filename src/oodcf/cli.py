@@ -66,7 +66,7 @@ from .errors import (
 )
 from .partition import Partition, search_partition
 from .projection import ProjectionModel, fit_projection, project, save_projection
-from .report import auroc, evaluate_run, format_table, repeat_and_aggregate, seed_prefix
+from .report import aggregate, auroc, evaluate_run, format_table, seed_prefix
 from .svgplot import ScatterPlot
 
 ORDER_NAMES = {"nd": "non_dis_first", "dn": "dis_first"}
@@ -144,10 +144,11 @@ class RunConfig:
                              key="lambda")
     variants: list = _opt(lambda: list(VARIANTS), "run", _names,
                           f"comma list from {','.join(VARIANTS)}",
-                          ok=lambda v: v and set(v) <= set(VARIANTS),
-                          rule=f"a comma list from {','.join(VARIANTS)}")
+                          ok=lambda v: v and set(v) <= set(VARIANTS) and len(set(v)) == len(v),
+                          rule=f"a comma list of distinct names from {','.join(VARIANTS)}")
     seeds: list = _opt(lambda: [0, 1, 2, 3, 4], "run", _ints, "comma list of integer seeds",
-                       ok=lambda v: v and min(v) >= 0, rule="one or more integers >= 0")
+                       ok=lambda v: v and min(v) >= 0 and len(set(v)) == len(v),
+                       rule="one or more distinct integers >= 0")
     train_fraction: float = _opt(0.8, "run", float, "share of rows in the train split",
                                  ok=lambda v: 0 < v < 1, rule="in (0, 1)")
     out: str = _opt("out", "run", help="output directory")
@@ -552,7 +553,8 @@ def cmd_toy(cfg: RunConfig) -> int:
     # also its diagnostics; every file is written once all seeds are scored
     per_seed, diag = {a: [] for a in TOY_APPROACHES}, None
     for seed in cfg.seeds:
-        fit = fit_pipeline(cfg, seed, keep_train=diag is None)
+        with seed_prefix(seed):
+            fit = fit_pipeline(cfg, seed, keep_train=diag is None)
         if diag is None:  # the figure rows are all that toy reads of the train rows
             diag, fit = _toy_diagnostics(fit), replace(fit, train=None)
         ln, ld, mah, marg = _seed_scores(fit)
@@ -587,86 +589,67 @@ def cmd_toy(cfg: RunConfig) -> int:
     return 0
 
 
-@dataclass
-class SeedRun:
-    """A seed's fit and what all its variants share."""
-
-    fit: PipelineFit
-    targets: np.ndarray    # density-based targets of its OOD rows, CFI's included
-    id_scores: np.ndarray  # -l_total of the ID test rows
+APPROACH_NAMES = {"full": "OOD CF", "sg": "OOD SG", "sn": "OOD SN", "sd": "OOD SD",
+                  "cfi": "CFI"}
 
 
-def _cfi_results(cfg: RunConfig, runs: dict) -> dict:
-    """(seed, "cfi") -> results, from one lock-step training and one descent;
-    CFI iterates in the classifier's own space and writes no trajectories."""
+def _cfi_results(cfg: RunConfig, fits: list, targets: list) -> list:
+    """Each fit's CFI results, in `fits` order, from one lock-step training
+    and one descent; CFI iterates in the classifier's own space and writes
+    no trajectories."""
     classifiers = train_softmax_classifier(
-        [(run.fit.train.features, run.fit.train.class_label) for run in runs.values()],
-        list(runs))
-    counts = [len(run.fit.ood) for run in runs.values()]
+        [(fit.train.features, fit.train.class_label) for fit in fits], cfg.seeds)
+    counts = [len(fit.ood) for fit in fits]
     results = iter(batch_generate(
-        np.vstack([run.fit.ood for run in runs.values()]),
-        np.concatenate([run.targets for run in runs.values()]), variant="cfi",
-        classifiers=classifiers, classifier_ids=np.repeat(np.arange(len(runs)), counts),
+        np.vstack([fit.ood for fit in fits]), np.concatenate(targets), variant="cfi",
+        classifiers=classifiers, classifier_ids=np.repeat(np.arange(len(fits)), counts),
         cfi_cfg=cfg.cfi(), record=False))
-    return {(seed, "cfi"): list(itertools.islice(results, n))
-            for seed, n in zip(runs, counts)}
+    return [list(itertools.islice(results, n)) for n in counts]
 
 
 def cmd_run(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    runs: dict[int, SeedRun] = {}
-    for seed in dict.fromkeys(cfg.seeds):
+    # every list below runs in cfg.seeds order
+    fits, targets, id_scores = [], [], []
+    for seed in cfg.seeds:
         with seed_prefix(seed):
             fit = fit_pipeline(cfg, seed, keep_train="cfi" in cfg.variants)
             ln, ld = ood_scores(fit.model, fit.Z_test[~fit.ood_flag])
-            runs[seed] = SeedRun(fit, select_target(fit.model, fit.projection, fit.ood),
-                                 -(ln + ld))
-    results_cache: dict[tuple[int, str], list] = {}
+            fits.append(fit)
+            targets.append(select_target(fit.model, fit.projection, fit.ood))
+            id_scores.append(-(ln + ld))
+    # results[v][i]: variant v's results on the OOD rows of seed cfg.seeds[i]
+    results = {v: _cfi_results(cfg, fits, targets) if v == "cfi" else [
+        batch_generate(fit.ood, t, variant=v, model=fit.model, projection=fit.projection,
+                       cfg=cfg.generation(), record=cfg.emit_trajectories)
+        for fit, t in zip(fits, targets)] for v in cfg.variants}
+    evals = {v: [] for v in cfg.variants}
+    for v in cfg.variants:
+        for seed, fit, res, pos in zip(cfg.seeds, fits, results[v], id_scores):
+            with seed_prefix(seed):
+                evals[v].append(evaluate_run(res, pos, fit.model, fit.projection,
+                                             approach=APPROACH_NAMES[v]))
+    means, stds = zip(*(aggregate(evals[v]) for v in cfg.variants))
 
-    approach_names = {"full": "OOD CF", "sg": "OOD SG", "sn": "OOD SN",
-                      "sd": "OOD SD", "cfi": "CFI"}
-    aggregates = {}
-    for variant in cfg.variants:
-        if variant == "cfi":
-            results_cache.update(_cfi_results(cfg, runs))
-
-        def run_one(seed, variant=variant):
-            run = runs[seed]
-            if (seed, variant) not in results_cache:
-                results_cache[seed, variant] = batch_generate(
-                    run.fit.ood, run.targets, variant=variant, model=run.fit.model,
-                    projection=run.fit.projection, cfg=cfg.generation(),
-                    record=cfg.emit_trajectories)
-            return evaluate_run(results_cache[seed, variant], run.id_scores, run.fit.model,
-                                run.fit.projection, approach=approach_names[variant])
-
-        aggregates[variant] = repeat_and_aggregate(
-            run_one, cfg.seeds, approach=approach_names[variant])
-
-    long_rows = [(approach_names[v], seed, row.non_dis, row.dis, row.l1, row.auroc)
-                 for v in cfg.variants for seed, row in aggregates[v].per_seed]
-    write_csv(out / "metrics.csv",
-              ["approach", "seed", "non_dis", "dis", "l1", "auroc"], long_rows, cfg)
-    summary_rows = [(r.mean.approach, r.mean.non_dis, r.mean.dis, r.mean.l1,
-                     r.mean.auroc, r.mean.n_seeds)
-                    for r in (aggregates[v] for v in cfg.variants)]
+    write_csv(out / "metrics.csv", ["approach", "seed", "non_dis", "dis", "l1", "auroc"],
+              [(r.approach, seed, r.non_dis, r.dis, r.l1, r.auroc)
+               for v in cfg.variants for seed, r in zip(cfg.seeds, evals[v])], cfg)
     write_csv(out / "metrics_summary.csv",
               ["approach", "non_dis", "dis", "l1", "auroc", "n_seeds"],
-              summary_rows, cfg)
+              [(m.approach, m.non_dis, m.dis, m.l1, m.auroc, m.n_seeds) for m in means], cfg)
     write_json(out / "metrics.json", {
-        "summary": [vars(aggregates[v].mean) for v in cfg.variants],
-        "per_seed": {approach_names[v]: [
-            {"seed": seed, **vars(row)} for seed, row in aggregates[v].per_seed]
-            for v in cfg.variants},
-        "std": {approach_names[v]: aggregates[v].std for v in cfg.variants},
+        "summary": [vars(m) for m in means],
+        "per_seed": {APPROACH_NAMES[v]: [{"seed": seed, **vars(r)}
+                                         for seed, r in zip(cfg.seeds, evals[v])]
+                     for v in cfg.variants},
+        "std": {APPROACH_NAMES[v]: std for v, std in zip(cfg.variants, stds)},
     }, cfg)
 
-    print(format_table([aggregates[v].mean for v in cfg.variants]))
+    print(format_table(means))
 
-    for seed, run in runs.items():
-        fit = run.fit
+    for i, (seed, fit) in enumerate(zip(cfg.seeds, fits)):
         write_partition(out / f"partition_seed{seed}.csv", fit.partition, cfg)
         names = fit.feature_names
         header = (["row_id", "variant", "target_class", "error",
@@ -674,14 +657,12 @@ def cmd_run(cfg: RunConfig) -> int:
                   + [f"orig_{n}" for n in names] + [f"cf_{n}" for n in names]
                   + [f"delta_{n}" for n in names])
         rows = itertools.chain.from_iterable(
-            _counterfactual_rows(results_cache[(seed, variant)], approach_names[variant])
-            for variant in cfg.variants)
+            _counterfactual_rows(results[v][i], APPROACH_NAMES[v]) for v in cfg.variants)
         write_csv(out / f"counterfactuals_seed{seed}.csv", header, rows, cfg)
         if cfg.emit_trajectories:
             traj_rows = itertools.chain.from_iterable(
-                _traj_rows(fit.model, fit.projection, results_cache[(seed, variant)],
-                           approach_names[variant])
-                for variant in cfg.variants)
+                _traj_rows(fit.model, fit.projection, results[v][i], APPROACH_NAMES[v])
+                for v in cfg.variants)
             write_csv(out / f"trajectories_seed{seed}.csv",
                       _traj_header(names), traj_rows, cfg)
     return 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DataError,
     DimensionMismatch,
     IndexOutOfRange,
     RankDeficientWarning,
@@ -42,7 +43,8 @@ class Standardizer:
 def fit_standardizer(train_features: np.ndarray, with_scaling: bool = True) -> Standardizer:
     """Column means and sample standard deviations (divisor n-1).
 
-    Constant columns get scale 1 so the transform stays invertible. With
+    Constant columns get scale 1 so the transform stays invertible. A
+    column whose mean or deviation overflows is a `DataError`. With
     `with_scaling=False` only centering is applied (scale is all ones);
     the 2D toy pipeline uses this because scaling every column to unit
     variance makes a 2D sample correlation matrix's eigenvectors sit at
@@ -51,13 +53,14 @@ def fit_standardizer(train_features: np.ndarray, with_scaling: bool = True) -> S
     X = np.asarray(train_features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise TooFewRows("need a 2D matrix with >= 2 rows to fit a standardizer")
-    mean = X.mean(axis=0)
-    if with_scaling:
-        scale = X.std(axis=0, ddof=1)
-        scale = np.where(scale > 0.0, scale, 1.0)
-    else:
-        scale = np.ones_like(mean)
-    return Standardizer(mean=mean, scale=scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0, ddof=1) if with_scaling else np.ones_like(mean)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+    if bad.size:
+        raise DataError(f"the mean or standard deviation of feature column {bad[0]} "
+                        "overflows a float; rescale the column")
+    return Standardizer(mean=mean, scale=np.where(scale > 0.0, scale, 1.0))
 
 
 @dataclass(frozen=True)

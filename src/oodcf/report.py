@@ -14,17 +14,8 @@ import numpy as np
 
 from .counterfactual import CounterfactualResult
 from .density import PartitionDensityModel, ood_scores
-from .errors import DimensionMismatch, EmptyInput
+from .errors import EmptyInput
 from .projection import ProjectionModel, project
-
-
-def l1_distance(x, x_prime) -> float:
-    """Sum of absolute coordinate differences."""
-    x = np.asarray(x, dtype=float)
-    x_prime = np.asarray(x_prime, dtype=float)
-    if x.shape != x_prime.shape:
-        raise DimensionMismatch(f"shapes differ: {x.shape} vs {x_prime.shape}")
-    return float(np.abs(x_prime - x).sum())
 
 
 def auroc(positive_scores, negative_scores) -> float:
@@ -83,21 +74,14 @@ def evaluate_run(counterfactuals: list[CounterfactualResult], id_scores,
     ln_cf, ld_cf = ood_scores(model, project(projection, X_cf))
     score_neg = -(ln_cf + ld_cf)
 
-    l1_mean = float(np.mean([l1_distance(r.x_original, r.x_counterfactual) for r in ok]))
+    X = np.vstack([r.x_original for r in ok])
     return EvalRow(
         approach=approach,
         non_dis=float(ln_cf.mean()),
         dis=float(ld_cf.mean()),
-        l1=l1_mean,
+        l1=float(np.abs(X_cf - X).sum(axis=1).mean()),
         auroc=auroc(score_pos, score_neg),
     )
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    mean: EvalRow
-    per_seed: list[tuple[int, EvalRow]]
-    std: dict
 
 
 @contextmanager
@@ -110,29 +94,17 @@ def seed_prefix(seed: int):
         raise
 
 
-def repeat_and_aggregate(run_fn, seeds: list[int],
-                         approach: str | None = None) -> AggregateResult:
-    """Run `run_fn(seed)` for each seed and average each metric; per-seed
-    rows and standard deviations are kept for the long-form output. A
-    failing seed aborts with its own exception, whose message is prefixed
-    with the seed."""
-    n_seeds = len(seeds)
-    if n_seeds < 1:
+def aggregate(rows: list[EvalRow]) -> tuple[EvalRow, dict]:
+    """The mean of each metric over `rows`, one row per seed, as an EvalRow
+    named after the first and counting the rows as its seeds; and each
+    metric's population standard deviation."""
+    if not rows:
         raise EmptyInput("need at least one seed")
-    per_seed = []
-    for seed in seeds:
-        with seed_prefix(seed):
-            per_seed.append((seed, run_fn(seed)))
-    name = approach if approach is not None else per_seed[0][1].approach
-    fields = ("non_dis", "dis", "l1", "auroc")
-    values = {f: np.array([getattr(row, f) for _, row in per_seed]) for f in fields}
-    mean = EvalRow(
-        approach=name,
-        **{f: float(values[f].mean()) for f in fields},
-        n_seeds=n_seeds,
-    )
-    std = {f: float(values[f].std(ddof=0)) for f in fields}
-    return AggregateResult(mean=mean, per_seed=per_seed, std=std)
+    values = {f: np.array([getattr(row, f) for row in rows])
+              for f in ("non_dis", "dis", "l1", "auroc")}
+    mean = EvalRow(approach=rows[0].approach, **{f: float(v.mean()) for f, v in values.items()},
+                   n_seeds=len(rows))
+    return mean, {f: float(v.std(ddof=0)) for f, v in values.items()}
 
 
 def format_table(rows: list[EvalRow]) -> str:

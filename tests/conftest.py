@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oodcf import counterfactual, dataset, density, partition, projection
+from oodcf.errors import DimensionMismatch
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 WINE_LIKE = DATA_DIR / "wine_like.csv"
@@ -122,6 +123,16 @@ def mode_nll(component) -> float:
 def nll_dis_target(model, z_d, target: int) -> float:
     """NLL of the one row z_d under class `target`'s discriminative Gaussian."""
     return model.dis_per_class[target].nll(z_d[None])[0]
+
+
+def l1_distance(x, x_prime) -> float:
+    """Sum of absolute coordinate differences of one row pair: the per-row
+    oracle of `report.evaluate_run`'s L1."""
+    x = np.asarray(x, dtype=float)
+    x_prime = np.asarray(x_prime, dtype=float)
+    if x.shape != x_prime.shape:
+        raise DimensionMismatch(f"shapes differ: {x.shape} vs {x_prime.shape}")
+    return float(np.abs(x_prime - x).sum())
 
 
 def density_counterfactuals(fit: FittedToy, X, variant="full") -> list:

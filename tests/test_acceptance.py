@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (conditional_entropy, density_counterfactuals, fit_qda, fit_toy, grad_nll,
-                      id_rows, id_scores, ood_rows, predict_proba)
+                      id_rows, id_scores, l1_distance, ood_rows, predict_proba)
 from oodcf import cli, counterfactual, dataset, density, projection, report
 from oodcf.counterfactual import CfiConfig
 
@@ -267,7 +267,7 @@ def test_criterion_10_cfi_crossing_and_l1_monotonicity():
                                                 cfi_cfg=CfiConfig(lam=lam))
         crossed = np.mean([predict_proba(clf, r.x_counterfactual)[t] >= 0.5
                            for r, t in zip(results, targets)])
-        l1 = np.mean([report.l1_distance(r.x_original, r.x_counterfactual)
+        l1 = np.mean([l1_distance(r.x_original, r.x_counterfactual)
                       for r in results])
         return float(crossed), float(l1)
 

@@ -396,6 +396,7 @@ class TestBadInputExitCodes:
         ("--variants", ["run", "--variants", "full,bogus"]),
         ("--n-per-class", ["toy", "--n-per-class", "0"]),
         ("--n-ood", ["score", "--n-ood", "0"]),
+        ("--variants", ["run", "--variants", "full,sd,full"]),
     ])
     def test_bad_flag_value(self, tmp_path, capsys, flag, argv):
         out = tmp_path / "o"
@@ -404,6 +405,65 @@ class TestBadInputExitCodes:
         assert record["error"] == "ConfigError"
         assert f"bad {flag} " in record["message"]
         assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("command", ["toy", "run", "partition", "score"])
+    @pytest.mark.parametrize("where", ["flag", "ini"])
+    def test_repeated_seed_is_a_setting(self, tmp_path, capsys, command, where):
+        # a repeated seed would fit twice and write its metrics rows twice
+        out = tmp_path / "o"
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text("[run]\nseeds = 1,1\n", encoding="utf-8")
+        argv = ["--seeds", "0,0"] if where == "flag" else ["--config", cfg_file]
+        assert run_cli([command, *argv, "--out", out]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert "bad --seeds " in record["message"]
+        assert "distinct" in record["message"]
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("factor", [1e160, 1e300])
+    def test_overflowing_column_exits_3(self, tmp_path, capsys, factor):
+        # its sample deviation overflows: the run would write nan rows otherwise
+        gen = np.random.default_rng(0)
+        X = gen.normal(size=(60, 3))
+        X[:, 1] *= factor
+        data = tmp_path / "big.csv"
+        data.write_text(_table(["a", "b", "c", "target"],
+                               [[*map(repr, x.tolist()), c]
+                                for x, c in zip(X, np.repeat([0, 1, 2], 20))]),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(["run", "--data", data, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--seeds", "0", "--out", out]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DataError"
+        assert record["message"] == ("seed 0: the mean or standard deviation of feature "
+                                     "column 1 overflows a float; rescale the column")
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("command", ["toy", "run"])
+    def test_two_feature_overflow_names_the_overflow(self, tmp_path, capsys, command):
+        data = write_two_feature_csv(tmp_path / "two.csv")
+        lines = data.read_text(encoding="utf-8").splitlines()
+        lines[1:] = [f"{float(x) * 1e300!r},{rest}"
+                     for x, rest in (line.split(",", 1) for line in lines[1:])]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli([command, "--data", data, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--seeds", "0", "--out", out]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "DataError" and "overflows" in record["message"]
+
+    def test_all_rows_failed_names_the_seed(self, tmp_path, capsys):
+        # every step of size 1e300 diverges, so seed 3, the first, has no row
+        out = tmp_path / "o"
+        assert run_cli(["run", "--n-per-class", "100", "--n-ood", "20", "--seeds", "3,1",
+                        "--variants", "full", "--alpha", "1e300", "--out", out]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "EmptyInput"
+        assert record["message"] == ("seed 3: no successfully generated counterfactuals "
+                                     "to evaluate")
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_bad_config_file_value(self, tmp_path, capsys):

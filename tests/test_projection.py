@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oodcf import dataset, projection
 from oodcf.errors import (
+    DataError,
     DimensionMismatch,
     IndexOutOfRange,
     RankDeficientWarning,
@@ -55,6 +56,19 @@ class TestStandardizer:
         X = random_matrix(seed=1)
         std = projection.fit_standardizer(X)
         assert np.allclose(std.transform(X.mean(axis=0)), 0.0)
+
+    @pytest.mark.parametrize("X, with_scaling", [
+        ([[1e160], [-1e160], [0.0]], True),     # the squared deviations overflow
+        ([[1.5e308], [1.5e308]], False),        # the column sum overflows
+        ([[1.0, 1.5e308], [2.0, 1.5e308]], True),
+    ])
+    def test_overflow_is_a_data_error(self, X, with_scaling):
+        with pytest.raises(DataError, match="overflows a float"):
+            projection.fit_standardizer(np.array(X), with_scaling=with_scaling)
+
+    def test_large_finite_column_is_kept(self):
+        std = projection.fit_standardizer(np.array([[1e150], [-1e150], [0.0]]))
+        assert std.scale[0] == pytest.approx(1e150)
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import density_counterfactuals, id_rows, id_scores
+from conftest import density_counterfactuals, id_rows, id_scores, l1_distance, ood_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,15 +45,17 @@ def loop_auroc(positive_scores, negative_scores) -> float:
 
 
 class TestL1Distance:
+    """The per-row oracle that `evaluate_run`'s vectorized L1 is held to."""
+
     def test_identity(self):
-        assert report.l1_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert l1_distance(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_hand_arithmetic(self):
-        assert report.l1_distance(np.array([1.0, 2.0]), np.array([2.0, 0.0])) == 3.0
+        assert l1_distance(np.array([1.0, 2.0]), np.array([2.0, 0.0])) == 3.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            report.l1_distance(np.zeros(2), np.zeros(3))
+            l1_distance(np.zeros(2), np.zeros(3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 1000))
@@ -61,8 +63,8 @@ class TestL1Distance:
         gen = np.random.default_rng(seed)
         x, y = gen.normal(size=(2, 6))
         perm = gen.permutation(6)
-        assert report.l1_distance(x, y) == pytest.approx(
-            report.l1_distance(x[perm], y[perm]), rel=1e-12)
+        assert l1_distance(x, y) == pytest.approx(
+            l1_distance(x[perm], y[perm]), rel=1e-12)
 
 
 class TestAuroc:
@@ -220,6 +222,31 @@ class TestEvaluateRun:
                                   toy_fit.model, toy_fit.projection)
         assert np.isfinite(row.l1)
 
+    @pytest.mark.parametrize("source", ["toy", "wine"])
+    def test_l1_equals_the_per_row_oracle(self, request, source):
+        fit = request.getfixturevalue(f"{source}_fit")
+        ood = ood_rows(fit.test).features
+        results = density_counterfactuals(fit, ood)
+        row = report.evaluate_run(results, id_scores(fit), fit.model, fit.projection)
+        assert row.l1 == np.mean([l1_distance(r.x_original, r.x_counterfactual)
+                                  for r in results])
+
+    def test_l1_equals_the_oracle_on_random_tables(self, monkeypatch):
+        # any width d: the scores are stubbed, so no model of width d is needed
+        monkeypatch.setattr(report, "project", lambda projection, X: X)
+        monkeypatch.setattr(report, "ood_scores",
+                            lambda model, Z: (np.zeros(len(Z)), np.zeros(len(Z))))
+        gen = np.random.default_rng(6)
+        for d in (2, 3, 7, 13, 64, 300):
+            for _ in range(5):
+                X = gen.normal(size=(int(gen.integers(1, 80)), d)) * 10.0 ** gen.integers(-3, 4)
+                X_cf = X + gen.normal(size=X.shape) * 10.0 ** gen.integers(-3, 4)
+                results = fake_results(X)
+                for r, x_cf in zip(results, X_cf):
+                    r.x_counterfactual[:] = x_cf
+                row = report.evaluate_run(results, [0.0], None, None)
+                assert row.l1 == np.mean([l1_distance(x, x_cf) for x, x_cf in zip(X, X_cf)])
+
     def test_all_failed_raises(self, toy_fit, toy_ood):
         bad = counterfactual.CounterfactualResult(
             x_original=toy_ood[0], x_counterfactual=toy_ood[0],
@@ -232,6 +259,10 @@ class TestEvaluateRun:
 
 
 class TestRepeatAndAggregate:
+    """`run`'s two multi-seed pieces: `aggregate` over a variant's per-seed
+    rows, and `seed_prefix`, which names the seed of a failing fit or
+    evaluation."""
+
     @staticmethod
     def run_fn(seed):
         gen = np.random.default_rng(seed)
@@ -240,50 +271,44 @@ class TestRepeatAndAggregate:
                               auroc=float(gen.random()))
 
     def test_single_seed_equals_single_run(self):
-        agg = report.repeat_and_aggregate(self.run_fn, [7])
-        single = self.run_fn(7)
-        assert agg.mean.non_dis == single.non_dis
-        assert agg.mean.auroc == single.auroc
-        assert agg.mean.n_seeds == 1
+        mean, std = report.aggregate([self.run_fn(7)])
+        assert mean == self.run_fn(7)
+        assert mean.n_seeds == 1
+        assert std == {"non_dis": 0.0, "dis": 0.0, "l1": 0.0, "auroc": 0.0}
 
     def test_mean_matches_arithmetic(self):
-        agg = report.repeat_and_aggregate(self.run_fn, range(5))
         rows = [self.run_fn(s) for s in range(5)]
-        assert agg.mean.l1 == pytest.approx(np.mean([r.l1 for r in rows]), abs=1e-12)
-        assert len(agg.per_seed) == 5
-        assert set(agg.std) == {"non_dis", "dis", "l1", "auroc"}
+        mean, std = report.aggregate(rows)
+        for name in ("non_dis", "dis", "l1", "auroc"):
+            values = [getattr(r, name) for r in rows]
+            assert getattr(mean, name) == pytest.approx(np.mean(values), abs=1e-12)
+            assert std[name] == pytest.approx(np.std(values), abs=1e-12)
+        assert mean.n_seeds == 5
+        assert set(std) == {"non_dis", "dis", "l1", "auroc"}
 
     def test_rerun_is_bit_identical(self):
-        a = report.repeat_and_aggregate(self.run_fn, [3, 4, 5, 6])
-        b = report.repeat_and_aggregate(self.run_fn, [3, 4, 5, 6])
-        assert a.mean == b.mean
+        rows = [self.run_fn(s) for s in (3, 4, 5, 6)]
+        assert report.aggregate(rows) == report.aggregate(list(rows))
 
     def test_explicit_seed_list(self):
-        agg = report.repeat_and_aggregate(self.run_fn, [2, 9, 14])
-        assert [seed for seed, _ in agg.per_seed] == [2, 9, 14]
-        assert agg.mean.n_seeds == 3
+        mean, _ = report.aggregate([self.run_fn(s) for s in (2, 9, 14)])
+        assert mean.approach == "X"
+        assert mean.n_seeds == 3
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(EmptyInput):
-            report.repeat_and_aggregate(self.run_fn, [])
+            report.aggregate([])
 
     def test_failing_seed_reports_seed(self):
-        def boom(seed):
-            if seed == 4:
+        with pytest.raises(EmptyInput, match="seed 4: nothing to do"):
+            with report.seed_prefix(4):
                 raise EmptyInput("nothing to do")
-            return self.run_fn(seed)
-
-        with pytest.raises(EmptyInput, match="seed 4"):
-            report.repeat_and_aggregate(boom, [3, 4, 5])
 
     def test_failing_seed_reraises_its_exception(self):
         original = NonFiniteLoss("loss became nan")
-
-        def boom(seed):
-            raise original
-
         with pytest.raises(NonFiniteLoss, match="seed 5: loss became nan") as info:
-            report.repeat_and_aggregate(boom, [5, 6])
+            with report.seed_prefix(5):
+                raise original
         assert info.value is original
 
     def test_failing_seed_with_two_argument_exception(self):
@@ -292,11 +317,9 @@ class TestRepeatAndAggregate:
                 super().__init__(f"{left} vs {right}")
                 self.left, self.right = left, right
 
-        def boom(seed):
-            raise Pair("a", "b")
-
         with pytest.raises(Pair, match="seed 0: a vs b") as info:
-            report.repeat_and_aggregate(boom, [0])
+            with report.seed_prefix(0):
+                raise Pair("a", "b")
         assert (info.value.left, info.value.right) == ("a", "b")
 
 
