@@ -28,7 +28,8 @@ import spans  # noqa: E402  perfbench/spans.py: the layer list and its installer
 import oodcf.cli  # noqa: E402
 
 # the cli's own per-seed stages, wrapped as the layers are
-STAGES = (("cli.fit", "fit_pipeline"), ("cli.seed_scores", "_seed_scores"))
+STAGES = (("cli.fit", "fit_pipeline"), ("cli.seed_scores", "_seed_scores"),
+          ("cli.test_scores", "_test_scores"))
 MB = float(1 << 20)
 
 

@@ -261,13 +261,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 # -- datasets and fitting ----------------------------------------------------
 
-def load_dataset(cfg: RunConfig, seed: int) -> LabeledDataset:
+def load_dataset(cfg: RunConfig, seed: int | None) -> LabeledDataset:
+    """The rows of `seed`: a toy draw, or the CSV source, the same for every
+    seed."""
     if cfg.source == "toy":
         return make_toy(cfg.n_per_class, cfg.n_ood, seed)
     if not cfg.data_path or not cfg.label_col or not cfg.ood_rule:
         raise ConfigError("csv source needs --data, --label-col and --ood-rule")
     table = load_csv(cfg.data_path, cfg.label_col)
     return apply_ood_rule(table, parse_rule(cfg.ood_rule))
+
+
+def _csv_data(cfg: RunConfig) -> LabeledDataset | None:
+    """A CSV source's dataset, parsed once for all of a command's seeds;
+    None for the toy source, whose fits each draw their own rows, so that
+    the rows die in the split."""
+    return load_dataset(cfg, None) if cfg.source == "csv" else None
 
 
 @dataclass
@@ -281,17 +290,32 @@ class PipelineFit:
     model: object
     Z_test: np.ndarray            # latents of every test row, in test order
     ood_flag: np.ndarray          # the test rows' OOD flags
-    ood: np.ndarray               # the OOD test rows, raw
+    ood: np.ndarray | None        # the OOD test rows the caller kept (`keep`), raw
     feature_names: list
-    train: LabeledDataset | None  # the ID-train rows, where a caller reads them
+    train: LabeledDataset | None  # the ID-train rows the caller kept (`keep`)
 
 
-def fit_pipeline(cfg: RunConfig, seed: int, keep_train: bool = False) -> PipelineFit:
+def _kept_rows(keep: bool | int, masks) -> np.ndarray | None:
+    """Positions of the rows a fit keeps of the boolean `masks`, in row
+    order: every row of each mask for `keep` True, its first `keep` rows for
+    a number, and None for False."""
+    if not keep:
+        return None
+    n = None if keep is True else keep
+    return np.sort(np.concatenate([np.flatnonzero(mask)[:n] for mask in masks]))
+
+
+def fit_pipeline(cfg: RunConfig, seed: int, keep: bool | int = False,
+                 data: LabeledDataset | None = None) -> PipelineFit:
     """Split, projection, partition search and densities of `seed`. Each raw
-    array is let go once the stages that read it are done; `keep_train`
-    keeps the ID-train rows for the caller."""
-    # the loaded rows die in the split, one column at a time
-    train, test = split(load_dataset(cfg, seed),
+    array is let go once the stages that read it are done. `keep` is what
+    the caller reads of the raw rows: True all ID-train and OOD test rows,
+    a number n the first n train rows of each class and the first n OOD
+    rows, in split order, and False none; they are picked before the
+    search. `data` is a CSV source's dataset that the caller loaded once for
+    all its seeds; without it the fit loads or draws its own."""
+    # rows loaded here die in the split, one column at a time
+    train, test = split(load_dataset(cfg, seed) if data is None else data,
                         SplitSpec(train_fraction=cfg.train_fraction, seed=seed))
     # split sends every OOD row to the test side, so every train row is ID
     k = cfg.k if cfg.k > 0 else train.n_features
@@ -306,13 +330,16 @@ def fit_pipeline(cfg: RunConfig, seed: int, keep_train: bool = False) -> Pipelin
     projection = fit_projection(train.features, k, cfg.with_scaling)
     if cfg.k == 0 and projection.k < 2:
         raise TooFewDims(f"the features have rank {projection.k}; the partition search needs 2")
+    rows = _kept_rows(keep, [test.ood_flag])
     Z_test, ood_flag, ood = (project(projection, test.features), test.ood_flag,
-                             test.features[test.ood_flag])
+                             None if rows is None else test.features[rows])
     del test
+    rows = _kept_rows(keep, (train.class_label == c for c in range(train.n_classes)))
     Z_train, labels, names = (project(projection, train.features), train.class_label,
                               train.feature_names)
-    kept = train if keep_train else None
-    del train
+    kept = None if rows is None else LabeledDataset(
+        train.features[rows], labels[rows], train.ood_flag[rows], names, train.provenance)
+    del train, rows
     # the seed's one moment pass: the search, the model and both baselines use it
     moments = class_moments(Z_train, labels)
     part = search_partition(moments, Z_test[~ood_flag], slack=cfg.slack, cap=cfg.cap)
@@ -320,13 +347,24 @@ def fit_pipeline(cfg: RunConfig, seed: int, keep_train: bool = False) -> Pipelin
     return PipelineFit(projection, part, moments, model, Z_test, ood_flag, ood, names, kept)
 
 
-def _seed_scores(fit: PipelineFit) -> tuple:
+def _test_scores(fit: PipelineFit) -> tuple:
     """The l_n, l_d, Mahalanobis and marginal Mahalanobis scores of each test
-    row of `fit`, in test order: the columns `score` writes, and that `toy`
-    ranks split by the rows' OOD flags."""
+    row of `fit`, in test order; `toy` ranks them split by the rows' OOD
+    flags."""
     ln, ld = ood_scores(fit.model, fit.Z_test)
     mah = MahalanobisScorer.fit(fit.model).score(fit.Z_test)
     marg = MarginalMahalanobisScorer.fit(fit.moments).score(fit.Z_test)
+    return ln, ld, mah, marg
+
+
+def _seed_scores(fit: PipelineFit) -> tuple:
+    """The `_test_scores` of `fit` as the columns `score` writes: refused
+    when a row's score, or its l_n + l_d, is not finite."""
+    ln, ld, mah, marg = _test_scores(fit)
+    bad = len(ln) - np.count_nonzero(np.isfinite(ln + ld) & np.isfinite(mah) & np.isfinite(marg))
+    if bad:
+        raise NumericError(f"{bad} of {len(ln)} test rows score non-finite, most likely rows "
+                           "so far from the train data that a squared distance overflows")
     return ln, ld, mah, marg
 
 
@@ -397,10 +435,15 @@ def write_csv(path, header, rows, cfg: RunConfig):
 
 
 def write_json(path, payload: dict, cfg: RunConfig):
-    payload = {"config": cfg.resolved(), **payload}
+    """`payload` and the config as JSON; a NaN or infinity, which JSON cannot
+    hold, is a NumericError and writes no file."""
+    try:
+        text = json.dumps({"config": cfg.resolved(), **payload}, indent=1, sort_keys=True,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{Path(path).name}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_partition(path, part: Partition, cfg: RunConfig):
@@ -485,13 +528,10 @@ class ToyDiagnostics:
 
 
 def _toy_diagnostics(fit: PipelineFit) -> ToyDiagnostics:
-    """What the toy's files take from `fit`, a fit that kept its train rows."""
+    """What the toy's files take from `fit`, a fit that kept the figure rows."""
     train = fit.train
-    # fancy indexing copies only the drawn rows, so no view pins a whole split
-    class_points = [train.features[np.flatnonzero(train.class_label == c)[:TOY_FIGURE_ROWS]]
-                    for c in (0, 1)]
-    return ToyDiagnostics(fit.projection, fit.model, class_points,
-                          fit.ood[:TOY_FIGURE_ROWS].copy(), fit.feature_names)
+    class_points = [train.features[train.class_label == c] for c in (0, 1)]
+    return ToyDiagnostics(fit.projection, fit.model, class_points, fit.ood, fit.feature_names)
 
 
 def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
@@ -545,19 +585,22 @@ def cmd_toy(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _toy_k(cfg)
+    data = _csv_data(cfg)
     # the figures draw the raw rows as points of a plane
-    if cfg.source == "csv" and (d := load_dataset(cfg, cfg.seeds[0]).n_features) != 2:
-        raise DimensionMismatch(f"toy draws 2 raw features; the data have {d}")
+    if data is not None and data.n_features != 2:
+        raise DimensionMismatch(f"toy draws 2 raw features; the data have {data.n_features}")
 
     # one seed's fit at a time: each seed keeps only its AUROCs, the first
     # also its diagnostics; every file is written once all seeds are scored
     per_seed, diag = {a: [] for a in TOY_APPROACHES}, None
     for seed in cfg.seeds:
         with seed_prefix(seed):
-            fit = fit_pipeline(cfg, seed, keep_train=diag is None)
-        if diag is None:  # the figure rows are all that toy reads of the train rows
-            diag, fit = _toy_diagnostics(fit), replace(fit, train=None)
-        ln, ld, mah, marg = _seed_scores(fit)
+            # the figure rows are all that toy reads of the raw rows
+            fit = fit_pipeline(cfg, seed, keep=TOY_FIGURE_ROWS if diag is None else False,
+                               data=data)
+        if diag is None:
+            diag, fit = _toy_diagnostics(fit), replace(fit, ood=None, train=None)
+        ln, ld, mah, marg = _test_scores(fit)
         ood = fit.ood_flag
         for a, score in zip(TOY_APPROACHES, (mah, marg, ln + ld)):
             per_seed[a].append(auroc(-score[~ood], -score[ood]))
@@ -612,10 +655,10 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     # every list below runs in cfg.seeds order
-    fits, targets, id_scores = [], [], []
+    data, fits, targets, id_scores = _csv_data(cfg), [], [], []
     for seed in cfg.seeds:
         with seed_prefix(seed):
-            fit = fit_pipeline(cfg, seed, keep_train="cfi" in cfg.variants)
+            fit = fit_pipeline(cfg, seed, keep=True, data=data)
             ln, ld = ood_scores(fit.model, fit.Z_test[~fit.ood_flag])
             fits.append(fit)
             targets.append(select_target(fit.model, fit.projection, fit.ood))

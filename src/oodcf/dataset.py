@@ -68,7 +68,8 @@ class LabeledDataset:
     """Feature matrix in raw units with per-row ID class label and OOD flag.
 
     `class_label` is a contiguous id in [0, n_classes) for ID rows and
-    OOD_LABEL for OOD rows.
+    OOD_LABEL for OOD rows, stored as `class_id_dtype(n_classes)` by the
+    loaders (int8 for the toy); code that does arithmetic on ids converts.
     """
 
     features: np.ndarray
@@ -196,6 +197,13 @@ def _upper_quartile(values: np.ndarray) -> float:
     return float(np.quantile(values, 0.75))
 
 
+def class_id_dtype(n_classes: int) -> np.dtype:
+    """The narrowest signed integer type that holds OOD_LABEL and every id
+    below `n_classes`: int8 up to 128 ID classes."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= n_classes - 1)
+
+
 def apply_ood_rule(table: RawTable, rule: OodRule) -> LabeledDataset:
     """Flag OOD rows per the rule and relabel ID classes contiguously.
 
@@ -231,11 +239,10 @@ def apply_ood_rule(table: RawTable, rule: OodRule) -> LabeledDataset:
     feature_names = [table.column_names[i] for i in feature_idx]
     features = table.rows[:, feature_idx]
 
+    # an ID label's id is its rank among the distinct ID labels
     id_values = np.unique(labels[~ood])
-    remap = {v: i for i, v in enumerate(id_values)}
-    class_label = np.full(table.n_rows, OOD_LABEL, dtype=int)
-    for r in np.nonzero(~ood)[0]:
-        class_label[r] = remap[labels[r]]
+    class_label = np.full(table.n_rows, OOD_LABEL, dtype=class_id_dtype(len(id_values)))
+    class_label[~ood] = np.searchsorted(id_values, labels[~ood])
 
     return LabeledDataset(
         features=features,
@@ -265,7 +272,8 @@ def make_toy(n_per_class: int, n_ood: int, seed: int) -> LabeledDataset:
                    out=features[c * n_per_class:(c + 1) * n_per_class])
     rng.normal(gen, TOY_OOD_MEAN, np.sqrt(TOY_OOD_VAR), (n_ood, 2),
                out=features[2 * n_per_class:])
-    class_label = np.repeat(np.array([0, 1, OOD_LABEL]), [n_per_class, n_per_class, n_ood])
+    class_label = np.repeat(np.array([0, 1, OOD_LABEL], dtype=class_id_dtype(2)),
+                            [n_per_class, n_per_class, n_ood])
     ood_flag = class_label == OOD_LABEL
     return LabeledDataset(
         features=features,

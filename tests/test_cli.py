@@ -19,7 +19,7 @@ from oodcf.counterfactual import PhaseTrace, batch_generate, train_softmax_class
 from oodcf.dataset import OodRule
 from oodcf.density import (MahalanobisScorer, MarginalMahalanobisScorer,
                            fit_partition_density, ood_scores)
-from oodcf.errors import ConfigError, RankDeficientWarning
+from oodcf.errors import ConfigError, NumericError, RankDeficientWarning
 from oodcf.projection import project
 from oodcf.report import auroc
 
@@ -192,7 +192,7 @@ class TestRunCommand:
     def test_stop_quantile_reaches_the_fit(self):
         # a seed's stop NLLs are those of a direct fit at --stop-quantile
         fit = cli.fit_pipeline(cli.RunConfig(n_per_class=300, n_ood=30, stop_quantile=0.9), 0,
-                               keep_train=True)
+                               keep=True)
         want = fit_partition_density(project(fit.projection, fit.train.features),
                                      fit.train.class_label, fit.moments, fit.partition, 0.9)
         assert fit.model.non_dis_stop == want.non_dis_stop
@@ -455,6 +455,38 @@ class TestBadInputExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "DataError" and "overflows" in record["message"]
 
+    def test_score_refuses_non_finite_scores(self, tmp_path, capsys):
+        # only the OOD rows hold the huge column, so the train side is finite
+        # and the OOD rows' squared distances overflow
+        X = np.random.default_rng(0).normal(size=(60, 3))
+        labels = np.repeat([0, 1, 2], 20)
+        X[labels == 2, 0] *= 1e300
+        data = tmp_path / "far.csv"
+        data.write_text(_table(["a", "b", "c", "target"],
+                               [[*map(repr, x.tolist()), c] for x, c in zip(X, labels)]),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert run_cli(["score", "--data", data, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--seeds", "0", "--out", out]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "NumericError" and record["exit_code"] == 4
+        assert record["message"].startswith("20 of 28 test rows score non-finite")
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    def test_toy_still_ranks_non_finite_scores(self, tmp_path, capsys):
+        # toy's AUROC ranks an infinite OOD score like any other
+        data = write_two_feature_csv(tmp_path / "two.csv")
+        lines = data.read_text(encoding="utf-8").splitlines()
+        lines[1:] = [f"{float(x) * 1e300!r},{rest}" if rest.endswith(",2") else f"{x},{rest}"
+                     for x, rest in (line.split(",", 1) for line in lines[1:])]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["--data", data, "--label-col", "target", "--ood-rule", "class_equals:2",
+                "--seeds", "0"]
+        assert run_cli(["score", *argv, "--out", tmp_path / "s"]) == 4
+        assert run_cli(["toy", *argv, "--out", tmp_path / "t"]) == 0
+        rows = read_rows(tmp_path / "t" / "toy_auroc.csv")[1:]
+        assert [float(r[2]) for r in rows] == [1.0, 1.0, 1.0]
+
     def test_all_rows_failed_names_the_seed(self, tmp_path, capsys):
         # every step of size 1e300 diverges, so seed 3, the first, has no row
         out = tmp_path / "o"
@@ -693,7 +725,7 @@ class TestTrajRowsAgainstOracle:
         cfg = (cli.RunConfig(n_per_class=300, n_ood=30, k=2) if source == "toy" else
                cli.RunConfig(source="csv", data_path=str(WINE), label_col="target",
                              ood_rule="class_equals:2"))
-        fit = cli.fit_pipeline(cfg, 0, keep_train=True)
+        fit = cli.fit_pipeline(cfg, 0, keep=True)
         # ID rows start below their thresholds: they give one-point traces
         X = np.concatenate([fit.ood, fit.train.features[:20]])
         targets = np.arange(len(X)) % 2
@@ -713,7 +745,7 @@ class TestTrajRowsAgainstOracle:
 
     def test_no_traces_give_no_rows(self):
         cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
-        fit = cli.fit_pipeline(cfg, 0, keep_train=True)
+        fit = cli.fit_pipeline(cfg, 0, keep=True)
         ood = fit.ood
         clf = train_softmax_classifier(
             [(fit.train.features[:50], fit.train.class_label[:50])], [0], epochs=1)
@@ -962,7 +994,7 @@ def _oracle_counterfactual_rows(results, variant):
 def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
     # an UnknownClass error cell holds "not in [0, 2)": its comma must be quoted
     cfg = cli.RunConfig(n_per_class=300, n_ood=30, k=2)
-    fit = cli.fit_pipeline(cfg, 0, keep_train=True)
+    fit = cli.fit_pipeline(cfg, 0, keep=True)
     ood = fit.ood
     targets = np.where(np.arange(len(ood)) % 3 == 0, 5, np.arange(len(ood)) % 2)
     clf = train_softmax_classifier(
@@ -981,6 +1013,15 @@ def test_counterfactual_rows_match_cell_by_cell_rows(tmp_path):
     blob = (tmp_path / "cf.csv").read_bytes()
     assert blob == _csv_writer_bytes(header, want, cfg)
     assert b'"UnknownClass: target class 5 not in [0, 2)"' in blob
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite(tmp_path, value):
+    # JSON has no NaN or infinity: the bare token would make the file invalid
+    with pytest.raises(NumericError, match="metrics.json: Out of range float"):
+        cli.write_json(tmp_path / "metrics.json", {"std": {"l1": [0.5, value]}},
+                       cli.RunConfig())
+    assert not (tmp_path / "metrics.json").exists()
 
 
 def test_linalg_error_exits_numeric(tmp_path, monkeypatch, capsys):
@@ -1126,3 +1167,69 @@ class TestLeanSeedFit:
         peak = _traced_peak(lambda: run_cli([command, *TOY_2E4, "--seeds", "0",
                                              "--out", tmp_path / "t"]))
         assert peak <= 2.5 * TABLE_2E4_BYTES
+
+
+def _spy_fits(monkeypatch) -> list:
+    """The PipelineFit of every `cli.fit_pipeline` call, in call order."""
+    fits, fit_pipeline = [], cli.fit_pipeline
+    monkeypatch.setattr(cli, "fit_pipeline",
+                        lambda *args, **kwargs: fits.append(fit_pipeline(*args, **kwargs))
+                        or fits[-1])
+    return fits
+
+
+class TestKeptRawRows:
+    """The first `toy` seed keeps only the raw rows its figures draw, later
+    seeds and `score` keep none, and a `run` fit keeps every ID-train row
+    (for CFI) and every OOD row; one `toy` seed peaks within twice the
+    generated table."""
+
+    def test_one_toy_seed_peak_within_two_tables(self, tmp_path, capsys):
+        run_cli(["toy", "--n-per-class", "200", "--seeds", "0", "--out", tmp_path / "warm"])
+        peak = _traced_peak(lambda: run_cli(["toy", *TOY_2E4, "--seeds", "0",
+                                             "--out", tmp_path / "t"]))
+        assert peak <= 2.0 * TABLE_2E4_BYTES
+
+    def test_first_toy_seed_keeps_the_figure_rows(self, tmp_path, capsys, monkeypatch):
+        fits = _spy_fits(monkeypatch)
+        assert run_cli(["toy", "--n-per-class", "700", "--n-ood", "500", "--seeds", "0,1",
+                        "--out", tmp_path / "t"]) == 0
+        train, test = dataset.split(dataset.make_toy(700, 500, 0), dataset.SplitSpec(0.8, 0))
+        # the first TOY_FIGURE_ROWS rows of each class, in split order
+        n = cli.TOY_FIGURE_ROWS
+        rows = np.sort(np.concatenate([np.flatnonzero(train.class_label == c)[:n]
+                                       for c in (0, 1)]))
+        kept = fits[0].train
+        assert kept.n_rows == 2 * n < train.n_rows
+        assert np.array_equal(kept.features, train.features[rows])
+        assert np.array_equal(kept.class_label, train.class_label[rows])
+        assert np.array_equal(fits[0].ood, test.features[test.ood_flag][:n])
+        assert fits[1].train is None and fits[1].ood is None
+
+    def test_score_fit_keeps_no_raw_row(self, tmp_path, capsys, monkeypatch):
+        fits = _spy_fits(monkeypatch)
+        assert run_cli(["score", "--n-per-class", "300", "--n-ood", "100", "--seeds", "0",
+                        "--out", tmp_path / "s"]) == 0
+        assert fits[0].train is None and fits[0].ood is None
+
+    @pytest.mark.parametrize("variants", ["cfi", "full"])
+    def test_run_fit_keeps_every_raw_row(self, tmp_path, capsys, monkeypatch, variants):
+        fits = _spy_fits(monkeypatch)
+        assert run_cli(["run", "--n-per-class", "700", "--n-ood", "20", "--seeds", "0",
+                        "--variants", variants, "--max-iter", "5",
+                        "--out", tmp_path / "r"]) == 0
+        train, test = dataset.split(dataset.make_toy(700, 20, 0), dataset.SplitSpec(0.8, 0))
+        assert np.array_equal(fits[0].train.features, train.features)
+        assert np.array_equal(fits[0].train.class_label, train.class_label)
+        assert np.array_equal(fits[0].ood, test.features[test.ood_flag])
+
+    @pytest.mark.parametrize("command", ["run", "toy"])
+    def test_one_csv_parse_per_command(self, tmp_path, capsys, monkeypatch, command):
+        parsed, load_csv = [], cli.load_csv
+        monkeypatch.setattr(cli, "load_csv",
+                            lambda *args: parsed.append(args) or load_csv(*args))
+        data = write_two_feature_csv(tmp_path / "two.csv")
+        assert run_cli([command, "--data", data, "--label-col", "target",
+                        "--ood-rule", "class_equals:2", "--seeds", "0,1,2",
+                        "--variants", "full", "--max-iter", "5", "--out", tmp_path / "o"]) == 0
+        assert len(parsed) == 1

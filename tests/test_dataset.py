@@ -167,6 +167,42 @@ class TestApplyOodRule:
             dataset.OodRule(kind="weird")
 
 
+class TestClassIdDtype:
+    """Class ids take the narrowest signed integer type that holds -1 and
+    the largest id; `split` keeps it."""
+
+    def test_toy_ids_are_int8(self):
+        ds = dataset.make_toy(50, 20, 0)
+        assert ds.class_label.dtype == np.int8
+        assert ds.class_label.tolist() == [0] * 50 + [1] * 50 + [-1] * 20
+        train, test = dataset.split(ds, dataset.SplitSpec(0.8, 0))
+        assert train.class_label.dtype == test.class_label.dtype == np.int8
+
+    def test_three_class_rule_gives_int8(self, tmp_path):
+        table = dataset.load_csv(write(tmp_path, wine_style_table()), "target")
+        ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=1))
+        assert ds.class_label.dtype == np.int8
+        labels = table.column("target")
+        want = np.where(labels == 1, -1, np.where(labels == 2, 1, 0))
+        assert ds.class_label.tolist() == want.tolist()
+
+    def test_200_classes_give_int16_with_the_same_ids(self, tmp_path):
+        # ID labels 0, 3, ..., 597 and OOD label 600, two rows each, shuffled
+        labels = np.random.default_rng(0).permutation(np.repeat(np.arange(0, 603, 3), 2))
+        text = "x,target\n" + "".join(f"{i},{v}\n" for i, v in enumerate(labels))
+        table = dataset.load_csv(write(tmp_path, text), "target")
+        ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=600))
+        assert ds.n_classes == 200
+        assert ds.class_label.dtype == np.int16
+        assert ds.class_label.tolist() == np.where(labels == 600, -1, labels // 3).tolist()
+
+    @pytest.mark.parametrize("n_classes, dtype", [(1, np.int8), (128, np.int8),
+                                                  (129, np.int16), (32768, np.int16),
+                                                  (32769, np.int32)])
+    def test_narrowest_type_holding_the_largest_id(self, n_classes, dtype):
+        assert dataset.class_id_dtype(n_classes) == dtype
+
+
 class TestMakeToy:
     def test_shapes_and_classes(self):
         ds = dataset.make_toy(1000, 1000, 42)
