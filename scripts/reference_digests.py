@@ -41,6 +41,9 @@ COMMANDS = (
     ("toy_traj", ["toy", "--seeds", "0", "--emit-trajectories"]),
     ("score_toy_1e5", ["score", *TOY_1E5, "--seeds", "0"]),
     ("score_wine", ["score", *WINE, "--seeds", "0"]),
+    ("score_wine_quartile", ["score", *WINE, "--ood-rule", "above_quartile:proline",
+                             "--seeds", "0"]),
+    ("score_wine_equals", ["score", *WINE, "--ood-rule", "equals:target=1", "--seeds", "0"]),
     ("partition_wine", ["partition", *WINE, "--seeds", "3"]),
     ("partition_toy", ["partition", "--seeds", "0"]),
 )

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .dataset import LabeledDataset, OodRule, RawTable, SplitSpec  # noqa: F401
+from .dataset import LabeledDataset, RawTable  # noqa: F401
 from .projection import ProjectionModel, Standardizer  # noqa: F401
 from .partition import Partition  # noqa: F401
 from .density import GaussianComponent, PartitionDensityModel  # noqa: F401

@@ -37,15 +37,7 @@ from .counterfactual import (
     select_target,
     train_softmax_classifier,
 )
-from .dataset import (
-    LabeledDataset,
-    OodRule,
-    SplitSpec,
-    apply_ood_rule,
-    load_csv,
-    make_toy,
-    split,
-)
+from .dataset import LabeledDataset, apply_ood_rule, load_csv, make_toy, split
 from .density import (
     ClassMoments,
     MahalanobisScorer,
@@ -174,31 +166,6 @@ class RunConfig:
                          max_iter=self.max_iter)
 
 
-def parse_rule(spec: str) -> OodRule:
-    """Parse an --ood-rule string.
-
-    Grammar: 'class_equals:VALUE', 'above_quartile:COLUMN',
-    or 'equals:COLUMN=VALUE'.
-    """
-    kind, _, rest = spec.partition(":")
-    if not rest:
-        raise ConfigError(f"bad --ood-rule {spec!r}; expected KIND:ARGS")
-    try:
-        if kind == "class_equals":
-            return OodRule(kind="class_equals", value=float(rest))
-        if kind == "above_quartile":
-            return OodRule(kind="column_above_upper_quartile", target_column=rest)
-        if kind == "equals":
-            col, _, val = rest.partition("=")
-            if not val:
-                raise ConfigError(f"bad --ood-rule {spec!r}; equals needs COLUMN=VALUE")
-            return OodRule(kind="column_equals_value", target_column=col,
-                           value=float(val))
-    except ValueError:
-        raise ConfigError(f"bad --ood-rule {spec!r}; value must be numeric")
-    raise ConfigError(f"unknown --ood-rule kind {kind!r}")
-
-
 # -- config file + flags -----------------------------------------------------
 
 def _convert(f, text: str, conv, where: str = ""):
@@ -252,6 +219,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         flag = _flag(f)
         text = getattr(args, flag[2:].replace("-", "_"), None) if flag else None
+        if text == []:  # argparse drops a '--' value, as in `--k=--`, to []
+            raise ConfigError(f"bad {flag} --; expected a value")
         if text is not None:
             values[f.name] = _convert(f, text, f.metadata.get("flag_conv", f.metadata["conv"]))
     if getattr(args, "data", None):
@@ -269,7 +238,7 @@ def load_dataset(cfg: RunConfig, seed: int | None) -> LabeledDataset:
     if not cfg.data_path or not cfg.label_col or not cfg.ood_rule:
         raise ConfigError("csv source needs --data, --label-col and --ood-rule")
     table = load_csv(cfg.data_path, cfg.label_col)
-    return apply_ood_rule(table, parse_rule(cfg.ood_rule))
+    return apply_ood_rule(table, cfg.ood_rule)
 
 
 def _csv_data(cfg: RunConfig) -> LabeledDataset | None:
@@ -282,7 +251,8 @@ def _csv_data(cfg: RunConfig) -> LabeledDataset | None:
 @dataclass
 class PipelineFit:
     """A seed's fitted models, the latents of its test rows and the raw rows
-    later stages read; no other row array of the seed outlives the fit."""
+    later stages read; no other row array of the seed outlives the fit.
+    `toy` keeps its first fit, once scored, without `Z_test` and `ood_flag`."""
 
     projection: ProjectionModel
     partition: Partition
@@ -316,7 +286,7 @@ def fit_pipeline(cfg: RunConfig, seed: int, keep: bool | int = False,
     all its seeds; without it the fit loads or draws its own."""
     # rows loaded here die in the split, one column at a time
     train, test = split(load_dataset(cfg, seed) if data is None else data,
-                        SplitSpec(train_fraction=cfg.train_fraction, seed=seed))
+                        cfg.train_fraction, seed)
     # split sends every OOD row to the test side, so every train row is ID
     k = cfg.k if cfg.k > 0 else train.n_features
     if k > cfg.cap:
@@ -357,14 +327,19 @@ def _test_scores(fit: PipelineFit) -> tuple:
     return ln, ld, mah, marg
 
 
+def _refuse_non_finite(finite: np.ndarray):
+    """A NumericError naming how many test rows are not `finite`."""
+    bad = len(finite) - np.count_nonzero(finite)
+    if bad:
+        raise NumericError(f"{bad} of {len(finite)} test rows score non-finite, most likely rows "
+                           "so far from the train data that a squared distance overflows")
+
+
 def _seed_scores(fit: PipelineFit) -> tuple:
     """The `_test_scores` of `fit` as the columns `score` writes: refused
     when a row's score, or its l_n + l_d, is not finite."""
     ln, ld, mah, marg = _test_scores(fit)
-    bad = len(ln) - np.count_nonzero(np.isfinite(ln + ld) & np.isfinite(mah) & np.isfinite(marg))
-    if bad:
-        raise NumericError(f"{bad} of {len(ln)} test rows score non-finite, most likely rows "
-                           "so far from the train data that a squared distance overflows")
+    _refuse_non_finite(np.isfinite(ln + ld) & np.isfinite(mah) & np.isfinite(marg))
     return ln, ld, mah, marg
 
 
@@ -515,35 +490,18 @@ TOY_APPROACHES = ("Mahalanobis Distance", "Marginal Mahalanobis Distance", "Cust
 TOY_FIGURE_ROWS = 400  # rows of each group a toy figure draws
 
 
-@dataclass
-class ToyDiagnostics:
-    """What the toy's files and printout take from its first seed: the fitted
-    models and the few rows the figures draw, no row array of the fit."""
-
-    projection: ProjectionModel
-    model: object              # PartitionDensityModel
-    class_points: list         # <= TOY_FIGURE_ROWS train rows per ID class
-    ood_points: np.ndarray     # <= TOY_FIGURE_ROWS OOD test rows
-    feature_names: list
-
-
-def _toy_diagnostics(fit: PipelineFit) -> ToyDiagnostics:
-    """What the toy's files take from `fit`, a fit that kept the figure rows."""
-    train = fit.train
-    class_points = [train.features[train.class_label == c] for c in (0, 1)]
-    return ToyDiagnostics(fit.projection, fit.model, class_points, fit.ood, fit.feature_names)
-
-
-def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
-    projection = diag.projection
+def _toy_figures(cfg: RunConfig, fit: PipelineFit, out: Path):
+    """The toy's figures from `fit`, a fit that kept the figure rows."""
+    projection = fit.projection
     mean, W = projection.standardizer.mean, projection.loadings
     lengths = 2.0 * np.sqrt(projection.explained_variance)
 
-    classes = [("class 0", "#1f77b4", diag.class_points[0]),
-               ("class 1", "#2ca02c", diag.class_points[1])]
+    train = fit.train
+    classes = [(f"class {c}", color, train.features[train.class_label == c])
+               for c, color in enumerate(("#1f77b4", "#2ca02c"))]
     scatter = ScatterPlot(title="ID classes, OOD data, and principal components",
                           comment=f"config: {_provenance(cfg)}")
-    for group in classes + [("OOD", "#d62728", diag.ood_points)]:
+    for group in classes + [("OOD", "#d62728", fit.ood)]:
         scatter.add_group(*group)
     for j in range(projection.k):
         end = mean + lengths[j] * W[:, j] * projection.standardizer.scale
@@ -555,14 +513,14 @@ def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
         # `variant` by name, as every caller passes it: perfbench's trace
         # labels a generation span by it
         [res] = batch_generate([TOY_TRACE_POINT], [TOY_TRACE_TARGET], variant="full",
-                               model=diag.model, projection=projection,
+                               model=fit.model, projection=projection,
                                cfg=replace(gen_base, order=order))
         if res.failed:
             raise NonFiniteLoss(f"trajectory of {TOY_TRACE_POINT}: {res.error}")
         plot = ScatterPlot(
             title=f"trajectory of {TOY_TRACE_POINT}, order={order}",
             comment=f"config: {_provenance(cfg)}")
-        for group in classes + [("OOD", "#d62728", diag.ood_points[:200])]:
+        for group in classes + [("OOD", "#d62728", fit.ood[:200])]:
             plot.add_group(*group)
         phase_colors = {"non_dis": "#9467bd", "dis": "#ff7f0e", "joint": "#8c564b"}
         for trace in res.trajectories:
@@ -570,8 +528,8 @@ def _toy_figures(cfg: RunConfig, diag: ToyDiagnostics, out: Path):
             plot.add_polyline(f"{trace.phase} step", phase_colors[trace.phase], raw)
         plot.write(out / f"toy_trajectory_{order_key}.svg")
         if cfg.emit_trajectories:
-            write_csv(out / f"toy_trajectory_{order_key}.csv", _traj_header(diag.feature_names),
-                      _traj_rows(diag.model, projection, [res], "full"), cfg)
+            write_csv(out / f"toy_trajectory_{order_key}.csv", _traj_header(fit.feature_names),
+                      _traj_rows(fit.model, projection, [res], "full"), cfg)
 
 
 def _toy_k(cfg: RunConfig):
@@ -591,20 +549,21 @@ def cmd_toy(cfg: RunConfig) -> int:
         raise DimensionMismatch(f"toy draws 2 raw features; the data have {data.n_features}")
 
     # one seed's fit at a time: each seed keeps only its AUROCs, the first
-    # also its diagnostics; every file is written once all seeds are scored
-    per_seed, diag = {a: [] for a in TOY_APPROACHES}, None
+    # also its models and figure rows; every file is written once all seeds
+    # are scored
+    per_seed, first = {a: [] for a in TOY_APPROACHES}, None
     for seed in cfg.seeds:
         with seed_prefix(seed):
             # the figure rows are all that toy reads of the raw rows
-            fit = fit_pipeline(cfg, seed, keep=TOY_FIGURE_ROWS if diag is None else False,
+            fit = fit_pipeline(cfg, seed, keep=TOY_FIGURE_ROWS if first is None else False,
                                data=data)
-        if diag is None:
-            diag, fit = _toy_diagnostics(fit), replace(fit, ood=None, train=None)
         ln, ld, mah, marg = _test_scores(fit)
         ood = fit.ood_flag
         for a, score in zip(TOY_APPROACHES, (mah, marg, ln + ld)):
             per_seed[a].append(auroc(-score[~ood], -score[ood]))
-        # nothing of this seed may be alive while the next one is fitted
+        if first is None:
+            first = replace(fit, Z_test=None, ood_flag=None)
+        # nothing else of this seed may be alive while the next one is fitted
         del fit, ood, ln, ld, mah, marg, score
 
     rows = [(a, seed, score) for a in TOY_APPROACHES
@@ -620,14 +579,14 @@ def cmd_toy(cfg: RunConfig) -> int:
         print(f"{a:<33}  {np.mean(per_seed[a]):.3f}")
 
     # entropy / partition diagnostics for the first seed, from its search
-    part = diag.model.partition
+    part = first.partition
     for j, h in enumerate(part.singleton_entropies):
         print(f"H[Y|pc{j + 1}] = {h:.3g} bits")
     print_partition(part)
     write_partition(out / "toy_partition.csv", part, cfg)
 
-    _toy_figures(cfg, diag, out)
-    save_projection(diag.projection, out / "toy_projection.json",
+    _toy_figures(cfg, first, out)
+    save_projection(first.projection, out / "toy_projection.json",
                     extra={"config": cfg.resolved()})
     return 0
 
@@ -659,10 +618,11 @@ def cmd_run(cfg: RunConfig) -> int:
     for seed in cfg.seeds:
         with seed_prefix(seed):
             fit = fit_pipeline(cfg, seed, keep=True, data=data)
-            ln, ld = ood_scores(fit.model, fit.Z_test[~fit.ood_flag])
+            ln, ld = ood_scores(fit.model, fit.Z_test)
+            _refuse_non_finite(np.isfinite(ln + ld))
             fits.append(fit)
             targets.append(select_target(fit.model, fit.projection, fit.ood))
-            id_scores.append(-(ln + ld))
+            id_scores.append(-(ln + ld)[~fit.ood_flag])
     # results[v][i]: variant v's results on the OOD rows of seed cfg.seeds[i]
     results = {v: _cfi_results(cfg, fits, targets) if v == "cfi" else [
         batch_generate(fit.ood, t, variant=v, model=fit.model, projection=fit.projection,

@@ -1,8 +1,8 @@
 """Tabular data loading, OOD labeling rules, the 2D toy generator, and splits.
 
 A dataset enters as a numeric CSV with a header and a label column, or is
-synthesized by `make_toy`. An `OodRule` then designates some rows as
-out-of-distribution; the remaining in-distribution rows keep contiguous
+synthesized by `make_toy`. An `--ood-rule` spec then designates some rows
+as out-of-distribution; the remaining in-distribution rows keep contiguous
 class ids. Splitting is stratified over ID classes and sends every OOD row
 to the test side, since all models are fit on ID data only.
 """
@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .errors import (
+    ConfigError,
     DataError,
     DegenerateSplit,
     DimensionMismatch,
@@ -30,32 +31,18 @@ from .errors import (
 
 OOD_LABEL = -1  # class_label sentinel for rows flagged OOD
 
-RULE_KINDS = ("class_equals", "column_above_upper_quartile", "column_equals_value")
-
 
 @dataclass(frozen=True)
 class RawTable:
     """Parsed numeric table with an identified label column."""
 
     column_names: list[str]
-    rows: np.ndarray  # (n_rows, n_cols) float
+    rows: np.ndarray  # (n_rows, len(column_names)) float
     label_column: str
-
-    def __post_init__(self):
-        if len(set(self.column_names)) != len(self.column_names):
-            raise MalformedFile("duplicate column names")
-        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.column_names):
-            raise MalformedFile("row width does not match the header")
-        if self.label_column not in self.column_names:
-            raise MissingColumn(f"label column {self.label_column!r} not in table")
 
     @property
     def n_rows(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.column_names)
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.column_names:
@@ -99,34 +86,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         id_labels = self.class_label[~self.ood_flag]
         return int(id_labels.max()) + 1 if id_labels.size else 0
-
-
-@dataclass(frozen=True)
-class OodRule:
-    """Rule designating OOD rows.
-
-    kind 'class_equals' flags rows whose label equals `value` (target_column
-    must be the label column, or empty to default to it). The two column
-    rules flag by a feature column, which then stays in the feature matrix.
-    """
-
-    kind: str
-    target_column: str = ""
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in RULE_KINDS:
-            raise OutOfRange(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise OutOfRange("train_fraction must lie in (0, 1)")
 
 
 def _utf8_lines(fh, path):
@@ -204,30 +163,44 @@ def class_id_dtype(n_classes: int) -> np.dtype:
                 if np.iinfo(t).max >= n_classes - 1)
 
 
-def apply_ood_rule(table: RawTable, rule: OodRule) -> LabeledDataset:
-    """Flag OOD rows per the rule and relabel ID classes contiguously.
+def _rule_value(spec: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"bad --ood-rule {spec!r}; value must be numeric") from None
 
-    Non-label rule columns (e.g. an age or angina column) remain in the
-    feature matrix; only the label column is removed from features.
+
+def apply_ood_rule(table: RawTable, spec: str) -> LabeledDataset:
+    """Flag the OOD rows of `spec` and relabel ID classes contiguously.
+
+    `spec` is 'class_equals:VALUE' (the label equals VALUE),
+    'above_quartile:COLUMN' (above the column's upper quartile) or
+    'equals:COLUMN=VALUE'. A rule column other than the label (e.g. an age
+    or angina column) stays in the feature matrix; only the label column
+    is removed from features.
     """
     labels = table.column(table.label_column)
-
-    if rule.kind == "class_equals":
-        col = rule.target_column or table.label_column
-        if col != table.label_column:
-            raise MissingColumn(
-                f"class_equals must target the label column {table.label_column!r}, got {col!r}")
-        ood = labels == rule.value
-        applied = f"class_equals({rule.value:g} on {table.label_column!r})"
-    elif rule.kind == "column_above_upper_quartile":
-        values = table.column(rule.target_column)
+    kind, _, rest = spec.partition(":")
+    if not rest:
+        raise ConfigError(f"bad --ood-rule {spec!r}; expected KIND:ARGS")
+    if kind == "class_equals":
+        value = _rule_value(spec, rest)
+        ood = labels == value
+        applied = f"class_equals({value:g} on {table.label_column!r})"
+    elif kind == "above_quartile":
+        values = table.column(rest)
         cut = _upper_quartile(values)
         ood = values > cut
-        applied = f"column_above_upper_quartile({rule.target_column!r} > {cut:g})"
-    else:  # column_equals_value
-        values = table.column(rule.target_column)
-        ood = values == rule.value
-        applied = f"column_equals_value({rule.target_column!r} == {rule.value:g})"
+        applied = f"column_above_upper_quartile({rest!r} > {cut:g})"
+    elif kind == "equals":
+        column, _, text = rest.partition("=")
+        if not text:
+            raise ConfigError(f"bad --ood-rule {spec!r}; equals needs COLUMN=VALUE")
+        value = _rule_value(spec, text)
+        ood = table.column(column) == value
+        applied = f"column_equals_value({column!r} == {value:g})"
+    else:
+        raise ConfigError(f"unknown --ood-rule kind {kind!r}")
 
     if not ood.any():
         raise EmptyPartition(f"rule {applied} flagged no rows as OOD")
@@ -284,32 +257,33 @@ def make_toy(n_per_class: int, n_ood: int, seed: int) -> LabeledDataset:
     )
 
 
-def _train_mask(ds: LabeledDataset, spec: SplitSpec) -> np.ndarray:
+def _train_mask(ds: LabeledDataset, train_fraction: float, seed: int) -> np.ndarray:
     """Rows that train: floor(train_fraction * n_c) of each ID class c, drawn
-    by a permutation deterministic in spec.seed."""
-    gen = rng.generator(spec.seed, stream=1)
+    by a permutation deterministic in `seed`."""
+    gen = rng.generator(seed, stream=1)
     train_mask = np.zeros(ds.n_rows, dtype=bool)
     for c in range(ds.n_classes):
         members = np.nonzero((~ds.ood_flag) & (ds.class_label == c))[0]
         if members.size < 2:
             raise DegenerateSplit(f"class {c} has {members.size} row(s); need >= 2")
         order = members[rng.permutation(gen, members.size)]
-        n_train = int(np.floor(spec.train_fraction * members.size))
+        n_train = int(np.floor(train_fraction * members.size))
         n_train = min(max(n_train, 1), members.size - 1)  # both sides non-empty
         train_mask[order[:n_train]] = True
     return train_mask
 
 
-def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified ID split (see `_train_mask`); every OOD row goes to the
-    test side.
+def split(ds: LabeledDataset, train_fraction: float,
+          seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """Stratified ID split (see `_train_mask`), `train_fraction` in (0, 1);
+    every OOD row goes to the test side.
 
     Each source column is let go once both of its copies exist, so a source
     that only this call holds never lives whole next to both splits.
     """
     if ds.n_rows == 0:
         raise EmptyPartition("cannot split an empty dataset")
-    train_mask = _train_mask(ds, spec)
+    train_mask = _train_mask(ds, train_fraction, seed)
     test_mask = ~train_mask
     names, provenance = ds.feature_names, ds.provenance
     columns = [ds.class_label, ds.ood_flag, ds.features]

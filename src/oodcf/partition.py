@@ -226,7 +226,6 @@ class Partition:
     z_d: tuple[int, ...]
     z_n: tuple[int, ...]
     per_cardinality: list[CardinalityRecord]
-    chosen_cardinality: int
     threshold: float | None
     notes: list[str] = field(default_factory=list)
     singleton_entropies: tuple[float, ...] = ()  # H[Y | z_j] in bits, per latent j
@@ -308,7 +307,6 @@ def search_partition(moments: ClassMoments, Z_eval, slack: float = DEFAULT_SLACK
     z_d = tuple(sorted(best_per_card[chosen_idx][1]))
     z_n = tuple(i for i in range(k) if i not in z_d)
     return Partition(
-        z_d=z_d, z_n=z_n, per_cardinality=records,
-        chosen_cardinality=best_per_card[chosen_idx][0],
-        threshold=threshold, notes=notes, singleton_entropies=tuple(entropy[1].tolist()),
+        z_d=z_d, z_n=z_n, per_cardinality=records, threshold=threshold, notes=notes,
+        singleton_entropies=tuple(entropy[1].tolist()),
     )

@@ -35,10 +35,6 @@ class Standardizer:
     def inverse_transform(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=float) * self.scale + self.mean
 
-    @property
-    def n_features(self) -> int:
-        return self.mean.shape[0]
-
 
 def fit_standardizer(train_features: np.ndarray, with_scaling: bool = True) -> Standardizer:
     """Column means and sample standard deviations (divisor n-1).
@@ -81,16 +77,16 @@ class ProjectionModel:
         return self.loadings.shape[0]
 
 
-def fit_pca(train_std: np.ndarray, k: int,
-            standardizer: Standardizer | None = None) -> ProjectionModel:
-    """Top-k eigenvectors of the sample covariance of already-standardized data.
+def fit_projection(train_features: np.ndarray, k: int,
+                   with_scaling: bool = True) -> ProjectionModel:
+    """The standardizer of `train_features`, then the top-k eigenvectors of
+    the sample covariance of the standardized data.
 
     If k exceeds the numerical rank, a RankDeficientWarning is emitted, k is
     shrunk, and the event is recorded in diagnostics.
     """
-    X = np.asarray(train_std, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise TooFewRows("need a 2D matrix with >= 2 rows to fit PCA")
+    standardizer = fit_standardizer(train_features, with_scaling=with_scaling)
+    X = standardizer.transform(train_features)
     n, d = X.shape
     if not 1 <= k <= min(n - 1, d):
         raise IndexOutOfRange(f"k={k} outside [1, min(n-1, d)={min(n - 1, d)}]")
@@ -119,23 +115,12 @@ def fit_pca(train_std: np.ndarray, k: int,
         if W[pivot, j] < 0:
             W[:, j] = -W[:, j]
 
-    if standardizer is None:
-        standardizer = Standardizer(mean=np.zeros(d), scale=np.ones(d))
-    if standardizer.n_features != d:
-        raise DimensionMismatch("standardizer dimensionality differs from data")
     return ProjectionModel(
         standardizer=standardizer,
         loadings=W,
         explained_variance=eigvals[:k].copy(),
         diagnostics=diagnostics,
     )
-
-
-def fit_projection(train_features: np.ndarray, k: int,
-                   with_scaling: bool = True) -> ProjectionModel:
-    """Convenience: fit the standardizer, then PCA on the standardized data."""
-    std = fit_standardizer(train_features, with_scaling=with_scaling)
-    return fit_pca(std.transform(train_features), k, standardizer=std)
 
 
 def project(model: ProjectionModel, x: np.ndarray) -> np.ndarray:

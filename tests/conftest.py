@@ -41,7 +41,7 @@ class FittedToy:
 
 def fit_toy(seed=0, n_per_class=1000, n_ood=1000) -> FittedToy:
     ds = dataset.make_toy(n_per_class, n_ood, seed)
-    train, test = dataset.split(ds, dataset.SplitSpec(0.8, seed))
+    train, test = dataset.split(ds, 0.8, seed)
     proj = projection.fit_projection(
         train.features[~train.ood_flag], 2, with_scaling=False)
     Z_train = projection.project(proj, train.features)
@@ -51,8 +51,8 @@ def fit_toy(seed=0, n_per_class=1000, n_ood=1000) -> FittedToy:
 
 def fit_wine(seed=0) -> FittedToy:
     table = dataset.load_csv(WINE_LIKE, "target")
-    ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=2))
-    train, test = dataset.split(ds, dataset.SplitSpec(0.8, seed))
+    ds = dataset.apply_ood_rule(table, "class_equals:2")
+    train, test = dataset.split(ds, 0.8, seed)
     proj = projection.fit_projection(
         train.features[~train.ood_flag], train.n_features, with_scaling=True)
     Z_train = projection.project(proj, train.features)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from oodcf import cli, dataset
 from oodcf.counterfactual import PhaseTrace, batch_generate, train_softmax_classifier
-from oodcf.dataset import OodRule
 from oodcf.density import (MahalanobisScorer, MarginalMahalanobisScorer,
                            fit_partition_density, ood_scores)
 from oodcf.errors import ConfigError, NumericError, RankDeficientWarning
@@ -53,26 +52,40 @@ def rerun_identical(args, out):
         assert after[name] == blob, f"{name} changed between identical runs"
 
 
+def rule_table(tmp_path):
+    """Eight rows with an age and an angina column and the label `outcome`."""
+    rows = [(30, 0, 0), (40, 1, 1), (50, 0, 2), (60, 1, 0),
+            (70, 1, 1), (80, 0, 2), (35, 0, 0), (45, 0, 1)]
+    path = tmp_path / "rules.csv"
+    path.write_text("age,angina,outcome\n" + "".join(f"{a},{g},{o}\n" for a, g, o in rows),
+                    encoding="utf-8")
+    return dataset.load_csv(path, "outcome")
+
+
 class TestParseRule:
-    def test_class_equals(self):
-        rule = cli.parse_rule("class_equals:2")
-        assert rule == OodRule(kind="class_equals", value=2.0)
+    """Each `--ood-rule` form, applied by `dataset.apply_ood_rule`."""
 
-    def test_above_quartile(self):
-        rule = cli.parse_rule("above_quartile:age")
-        assert rule.kind == "column_above_upper_quartile"
-        assert rule.target_column == "age"
+    def test_class_equals(self, tmp_path):
+        ds = dataset.apply_ood_rule(rule_table(tmp_path), "class_equals:2")
+        assert np.flatnonzero(ds.ood_flag).tolist() == [2, 5]
+        assert ds.feature_names == ["age", "angina"]
 
-    def test_equals(self):
-        rule = cli.parse_rule("equals:angina=1")
-        assert rule.kind == "column_equals_value"
-        assert rule.target_column == "angina"
-        assert rule.value == 1.0
+    def test_above_quartile(self, tmp_path):
+        # the type-7 upper quartile of the ages is 60 + 0.25 * 10 = 62.5
+        ds = dataset.apply_ood_rule(rule_table(tmp_path), "above_quartile:age")
+        assert np.flatnonzero(ds.ood_flag).tolist() == [4, 5]
+        assert ds.feature_names == ["age", "angina"]
 
-    def test_bad_specs(self):
+    def test_equals(self, tmp_path):
+        ds = dataset.apply_ood_rule(rule_table(tmp_path), "equals:angina=1")
+        assert np.flatnonzero(ds.ood_flag).tolist() == [1, 3, 4]
+        assert ds.feature_names == ["age", "angina"]
+
+    def test_bad_specs(self, tmp_path):
+        table = rule_table(tmp_path)
         for spec in ("class_equals", "equals:angina", "nonsense:x"):
-            with pytest.raises(ConfigError):
-                cli.parse_rule(spec)
+            with pytest.raises(ConfigError, match="--ood-rule"):
+                dataset.apply_ood_rule(table, spec)
 
 
 class TestToyCommand:
@@ -253,7 +266,7 @@ class TestScoreCommand:
         cfg = cli.build_config(cli.make_parser().parse_args([str(a) for a in argv]))
         cfg.k = 2
         fit = cli.fit_pipeline(cfg, 0)
-        _, test = dataset.split(dataset.make_toy(300, 200, 0), dataset.SplitSpec(0.8, 0))
+        _, test = dataset.split(dataset.make_toy(300, 200, 0), 0.8, 0)
         Z = project(fit.projection, test.features)
         ln, ld = ood_scores(fit.model, Z)
         mah = MahalanobisScorer.fit(fit.model).score(Z)
@@ -272,6 +285,19 @@ class TestScoreCommand:
 
 NAN9 = ("f1,f2,target\n0.1,1.2,0\n0.5,0.7,0\n-0.3,1.1,0\n0.2,0.4,0\n"
         "3.1,-0.2,1\n2.7,0.3,1\n3.4,0.6,1\n2.9,-0.5,1\n1.5,nan,2\n")
+
+
+def write_far_ood_csv(path):
+    """60 rows of three N(0, 1) features and labels 0, 1, 2; only the class-2
+    rows, the OOD rows of `class_equals:2`, hold column `a` times 1e300, so
+    the train side is finite and the OOD rows' squared distances overflow."""
+    X = np.random.default_rng(0).normal(size=(60, 3))
+    labels = np.repeat([0, 1, 2], 20)
+    X[labels == 2, 0] *= 1e300
+    path.write_text(_table(["a", "b", "c", "target"],
+                           [[*map(repr, x.tolist()), c] for x, c in zip(X, labels)]),
+                    encoding="utf-8")
+    return path
 
 
 class TestBadInputExitCodes:
@@ -397,6 +423,9 @@ class TestBadInputExitCodes:
         ("--n-per-class", ["toy", "--n-per-class", "0"]),
         ("--n-ood", ["score", "--n-ood", "0"]),
         ("--variants", ["run", "--variants", "full,sd,full"]),
+        ("--train-fraction", ["run", "--train-fraction", "1.0"]),
+        ("--n-per-class", ["toy", "--n-per-class=--"]),
+        ("--ood-rule", ["score", "--ood-rule=--"]),
     ])
     def test_bad_flag_value(self, tmp_path, capsys, flag, argv):
         out = tmp_path / "o"
@@ -405,6 +434,23 @@ class TestBadInputExitCodes:
         assert record["error"] == "ConfigError"
         assert f"bad {flag} " in record["message"]
         assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    BAD_RULES = {
+        "class_equals": "bad --ood-rule 'class_equals'; expected KIND:ARGS",
+        "class_equals:x": "bad --ood-rule 'class_equals:x'; value must be numeric",
+        "equals:angina": "bad --ood-rule 'equals:angina'; equals needs COLUMN=VALUE",
+        "equals:a=x": "bad --ood-rule 'equals:a=x'; value must be numeric",
+        "nonsense:x": "unknown --ood-rule kind 'nonsense'",
+    }
+
+    @pytest.mark.parametrize("spec", list(BAD_RULES))
+    def test_bad_ood_rule(self, tmp_path, capsys, spec):
+        out = tmp_path / "o"
+        assert run_cli(["score", "--config", CONFIG, "--ood-rule", spec, "--out", out]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert record["message"] == self.BAD_RULES[spec]
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
     @pytest.mark.parametrize("command", ["toy", "run", "partition", "score"])
@@ -456,21 +502,29 @@ class TestBadInputExitCodes:
         assert record["error"] == "DataError" and "overflows" in record["message"]
 
     def test_score_refuses_non_finite_scores(self, tmp_path, capsys):
-        # only the OOD rows hold the huge column, so the train side is finite
-        # and the OOD rows' squared distances overflow
-        X = np.random.default_rng(0).normal(size=(60, 3))
-        labels = np.repeat([0, 1, 2], 20)
-        X[labels == 2, 0] *= 1e300
-        data = tmp_path / "far.csv"
-        data.write_text(_table(["a", "b", "c", "target"],
-                               [[*map(repr, x.tolist()), c] for x, c in zip(X, labels)]),
-                        encoding="utf-8")
+        data = write_far_ood_csv(tmp_path / "far.csv")
         out = tmp_path / "o"
         assert run_cli(["score", "--data", data, "--label-col", "target",
                         "--ood-rule", "class_equals:2", "--seeds", "0", "--out", out]) == 4
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "NumericError" and record["exit_code"] == 4
         assert record["message"].startswith("20 of 28 test rows score non-finite")
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
+    @pytest.mark.parametrize("variants", [[], ["--variants", "cfi"]], ids=["default", "cfi"])
+    def test_run_refuses_non_finite_scores(self, tmp_path, capsys, variants):
+        # refused before any descent, so no metrics file holds an inf cell
+        data = write_far_ood_csv(tmp_path / "far.csv")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["run", "--data", data, "--label-col", "target",
+                            "--ood-rule", "class_equals:2", "--seeds", "0", *variants,
+                            "--out", out]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "NumericError"
+        assert record["message"].startswith("seed 0: 20 of 28 test rows score non-finite")
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
     def test_toy_still_ranks_non_finite_scores(self, tmp_path, capsys):
@@ -1194,7 +1248,7 @@ class TestKeptRawRows:
         fits = _spy_fits(monkeypatch)
         assert run_cli(["toy", "--n-per-class", "700", "--n-ood", "500", "--seeds", "0,1",
                         "--out", tmp_path / "t"]) == 0
-        train, test = dataset.split(dataset.make_toy(700, 500, 0), dataset.SplitSpec(0.8, 0))
+        train, test = dataset.split(dataset.make_toy(700, 500, 0), 0.8, 0)
         # the first TOY_FIGURE_ROWS rows of each class, in split order
         n = cli.TOY_FIGURE_ROWS
         rows = np.sort(np.concatenate([np.flatnonzero(train.class_label == c)[:n]
@@ -1218,7 +1272,7 @@ class TestKeptRawRows:
         assert run_cli(["run", "--n-per-class", "700", "--n-ood", "20", "--seeds", "0",
                         "--variants", variants, "--max-iter", "5",
                         "--out", tmp_path / "r"]) == 0
-        train, test = dataset.split(dataset.make_toy(700, 20, 0), dataset.SplitSpec(0.8, 0))
+        train, test = dataset.split(dataset.make_toy(700, 20, 0), 0.8, 0)
         assert np.array_equal(fits[0].train.features, train.features)
         assert np.array_equal(fits[0].train.class_label, train.class_label)
         assert np.array_equal(fits[0].ood, test.features[test.ood_flag])

@@ -312,8 +312,8 @@ def _split(kind, seed):
         ds = dataset.make_toy(1000, 500, seed)
     else:
         table = dataset.load_csv(WINE_LIKE, "target")
-        ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=2))
-    return dataset.split(ds, dataset.SplitSpec(0.8, seed))
+        ds = dataset.apply_ood_rule(table, "class_equals:2")
+    return dataset.split(ds, 0.8, seed)
 
 
 def _train_id_rows(kind, seed):

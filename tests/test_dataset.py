@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oodcf import cli, dataset
 from oodcf.errors import (
     EXIT_DATA,
+    ConfigError,
     DataError,
     DegenerateSplit,
     DimensionMismatch,
@@ -31,7 +32,7 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b,label\n1,2,0\n3,4,1\n5,6,0\n")
         table = dataset.load_csv(path, "label")
         assert table.n_rows == 3
-        assert table.n_cols == 3
+        assert len(table.column_names) == 3
         assert table.label_column == "label"
         assert np.allclose(table.column("a"), [1, 3, 5])
 
@@ -109,8 +110,7 @@ class TestApplyOodRule:
     def test_class_equals(self, tmp_path):
         path = write(tmp_path, wine_style_table())
         table = dataset.load_csv(path, "target")
-        ds = dataset.apply_ood_rule(
-            table, dataset.OodRule(kind="class_equals", value=2))
+        ds = dataset.apply_ood_rule(table, "class_equals:2")
         assert ds.n_classes == 2
         assert ds.ood_flag.sum() == 2
         assert set(ds.class_label[~ds.ood_flag]) == {0, 1}
@@ -121,29 +121,27 @@ class TestApplyOodRule:
         # remove the middle class: remaining labels 0 and 2 must map to 0 and 1
         path = write(tmp_path, wine_style_table())
         table = dataset.load_csv(path, "target")
-        ds = dataset.apply_ood_rule(
-            table, dataset.OodRule(kind="class_equals", value=1))
+        ds = dataset.apply_ood_rule(table, "class_equals:1")
         id_labels = ds.class_label[~ds.ood_flag]
         assert set(id_labels) == {0, 1}
 
     def test_no_match_raises(self, tmp_path):
         table = dataset.load_csv(write(tmp_path, wine_style_table()), "target")
         with pytest.raises(EmptyPartition):
-            dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=7))
+            dataset.apply_ood_rule(table, "class_equals:7")
 
     def test_all_match_raises(self, tmp_path):
         path = write(tmp_path, "a,label\n1,1\n2,1\n")
         table = dataset.load_csv(path, "label")
         with pytest.raises(EmptyPartition):
-            dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=1))
+            dataset.apply_ood_rule(table, "class_equals:1")
 
     def test_upper_quartile_by_hand(self, tmp_path):
         # values 1..8: type-7 quantile at 0.75 is a[5] + 0.25*(a[6]-a[5]) = 6.25,
         # so rows with value > 6.25 (7 and 8) are OOD
         rows = "\n".join(f"{v},{v % 2}" for v in range(1, 9))
         table = dataset.load_csv(write(tmp_path, f"age,label\n{rows}\n"), "label")
-        rule = dataset.OodRule(kind="column_above_upper_quartile", target_column="age")
-        ds = dataset.apply_ood_rule(table, rule)
+        ds = dataset.apply_ood_rule(table, "above_quartile:age")
         assert np.array_equal(np.sort(ds.features[ds.ood_flag, 0]), [7, 8])
         # the rule column stays in the feature matrix
         assert ds.feature_names == ["age"]
@@ -151,20 +149,19 @@ class TestApplyOodRule:
     def test_column_equals_value(self, tmp_path):
         text = "angina,outcome\n1,0\n0,1\n1,1\n0,0\n"
         table = dataset.load_csv(write(tmp_path, text), "outcome")
-        rule = dataset.OodRule(kind="column_equals_value", target_column="angina", value=1)
-        ds = dataset.apply_ood_rule(table, rule)
+        ds = dataset.apply_ood_rule(table, "equals:angina=1")
         assert ds.ood_flag.sum() == 2
         assert "angina" in ds.feature_names
 
     def test_rule_column_missing(self, tmp_path):
         table = dataset.load_csv(write(tmp_path, "a,label\n1,0\n2,1\n"), "label")
-        rule = dataset.OodRule(kind="column_above_upper_quartile", target_column="nope")
         with pytest.raises(MissingColumn):
-            dataset.apply_ood_rule(table, rule)
+            dataset.apply_ood_rule(table, "above_quartile:nope")
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(OutOfRange):
-            dataset.OodRule(kind="weird")
+    def test_unknown_kind_rejected(self, tmp_path):
+        table = dataset.load_csv(write(tmp_path, wine_style_table()), "target")
+        with pytest.raises(ConfigError, match="unknown --ood-rule kind"):
+            dataset.apply_ood_rule(table, "weird:1")
 
 
 class TestClassIdDtype:
@@ -175,12 +172,12 @@ class TestClassIdDtype:
         ds = dataset.make_toy(50, 20, 0)
         assert ds.class_label.dtype == np.int8
         assert ds.class_label.tolist() == [0] * 50 + [1] * 50 + [-1] * 20
-        train, test = dataset.split(ds, dataset.SplitSpec(0.8, 0))
+        train, test = dataset.split(ds, 0.8, 0)
         assert train.class_label.dtype == test.class_label.dtype == np.int8
 
     def test_three_class_rule_gives_int8(self, tmp_path):
         table = dataset.load_csv(write(tmp_path, wine_style_table()), "target")
-        ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=1))
+        ds = dataset.apply_ood_rule(table, "class_equals:1")
         assert ds.class_label.dtype == np.int8
         labels = table.column("target")
         want = np.where(labels == 1, -1, np.where(labels == 2, 1, 0))
@@ -191,7 +188,7 @@ class TestClassIdDtype:
         labels = np.random.default_rng(0).permutation(np.repeat(np.arange(0, 603, 3), 2))
         text = "x,target\n" + "".join(f"{i},{v}\n" for i, v in enumerate(labels))
         table = dataset.load_csv(write(tmp_path, text), "target")
-        ds = dataset.apply_ood_rule(table, dataset.OodRule(kind="class_equals", value=600))
+        ds = dataset.apply_ood_rule(table, "class_equals:600")
         assert ds.n_classes == 200
         assert ds.class_label.dtype == np.int16
         assert ds.class_label.tolist() == np.where(labels == 600, -1, labels // 3).tolist()
@@ -285,10 +282,10 @@ class TestSplit:
     def test_a_source_only_split_holds_is_let_go_column_by_column(self):
         # the loaded table never lives whole next to both of its splits
         n = 20000
-        dataset.split(dataset.make_toy(10, 10, 0), dataset.SplitSpec(0.8, 0))  # warm-up
+        dataset.split(dataset.make_toy(10, 10, 0), 0.8, 0)  # warm-up
         tracemalloc.start()
         try:
-            dataset.split(dataset.make_toy(n, n, 0), dataset.SplitSpec(0.8, 0))
+            dataset.split(dataset.make_toy(n, n, 0), 0.8, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -296,19 +293,19 @@ class TestSplit:
 
     def test_fraction_arithmetic(self):
         ds = two_class_dataset(50, 50)
-        train, test = dataset.split(ds, dataset.SplitSpec(0.8, 0))
+        train, test = dataset.split(ds, 0.8, 0)
         assert train.n_rows == 80
         assert test.n_rows == 20
 
     def test_all_ood_in_test(self):
         ds = two_class_dataset(40, 40, n_ood=50)
-        train, test = dataset.split(ds, dataset.SplitSpec(0.8, 1))
+        train, test = dataset.split(ds, 0.8, 1)
         assert train.ood_flag.sum() == 0
         assert test.ood_flag.sum() == 50
 
     def test_stratification(self):
         ds = two_class_dataset(30, 70)
-        train, _ = dataset.split(ds, dataset.SplitSpec(0.8, 2))
+        train, _ = dataset.split(ds, 0.8, 2)
         counts = np.bincount(train.class_label[~train.ood_flag])
         # per-class train counts within one row of fraction * class size
         assert abs(counts[0] - 0.8 * 30) <= 1
@@ -317,12 +314,12 @@ class TestSplit:
     def test_degenerate_class(self):
         ds = two_class_dataset(1, 10)
         with pytest.raises(DegenerateSplit):
-            dataset.split(ds, dataset.SplitSpec(0.5, 0))
+            dataset.split(ds, 0.5, 0)
 
     def test_split_determinism(self):
         ds = two_class_dataset(20, 20, n_ood=5)
-        a1, b1 = dataset.split(ds, dataset.SplitSpec(0.7, 5))
-        a2, b2 = dataset.split(ds, dataset.SplitSpec(0.7, 5))
+        a1, b1 = dataset.split(ds, 0.7, 5)
+        a2, b2 = dataset.split(ds, 0.7, 5)
         assert np.array_equal(a1.features, a2.features)
         assert np.array_equal(b1.features, b2.features)
 
@@ -331,7 +328,7 @@ class TestSplit:
            frac=st.floats(0.2, 0.9), seed=st.integers(0, 100))
     def test_partition_of_rows(self, n0, n1, n_ood, frac, seed):
         ds = two_class_dataset(n0, n1, n_ood)
-        train, test = dataset.split(ds, dataset.SplitSpec(frac, seed))
+        train, test = dataset.split(ds, frac, seed)
         assert train.n_rows + test.n_rows == ds.n_rows
         merged = np.vstack([train.features, test.features])
         assert np.array_equal(np.sort(merged.sum(axis=1)),
@@ -339,5 +336,6 @@ class TestSplit:
         assert train.ood_flag.sum() == 0
 
     def test_bad_fraction(self):
-        with pytest.raises(OutOfRange):
-            dataset.SplitSpec(1.0, 0)
+        # the one check of the fraction is the config's, before any data is read
+        with pytest.raises(ConfigError, match="bad --train-fraction 1.0"):
+            cli.build_config(cli.make_parser().parse_args(["run", "--train-fraction", "1.0"]))

@@ -12,7 +12,7 @@ from oodcf.partition import Partition
 
 def tiny_partition(z_d, z_n):
     return Partition(z_d=tuple(z_d), z_n=tuple(z_n), per_cardinality=[],
-                     chosen_cardinality=len(z_d), threshold=None)
+                     threshold=None)
 
 
 def fit_density(Z, Y, part):

@@ -307,7 +307,7 @@ class TestSearchPartition:
             Z, Y, Ze = four_d_signal_data(seed=seed)
             result = partition.search_partition(class_moments(Z, Y), Ze)
             by_norm = min(result.per_cardinality, key=lambda r: r.normalized)
-            assert result.chosen_cardinality <= by_norm.cardinality
+            assert len(result.z_d) <= by_norm.cardinality
 
     def test_partition_covers_all_dims(self):
         Z, Y, Ze = four_d_signal_data(seed=3)
@@ -328,7 +328,7 @@ class TestSearchPartition:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = partition.search_partition(toy_fit.moments, toy_fit.Z_eval)
-        assert result.chosen_cardinality == 1
+        assert len(result.z_d) == 1
         assert result.notes == []
         (record,) = result.per_cardinality
         assert (record.normalized, record.within_threshold, record.chosen) == (0.0, True, True)
@@ -341,7 +341,7 @@ class TestSearchPartition:
             np.full(math.comb(4, c), 0.5) for c in range(5)])
         with pytest.warns(DegenerateNormalizationWarning):
             result = partition.search_partition(class_moments(Z, Y), Ze)
-        assert result.chosen_cardinality == 1
+        assert len(result.z_d) == 1
         assert result.z_d == (0,)
         assert result.notes == [
             "all per-cardinality minima equal; falling back to smallest cardinality"]

@@ -102,9 +102,8 @@ class TestFitPca:
     def test_eigenvalue_oracle(self):
         # independent eigendecomposition of the covariance matrix
         X = random_matrix(n=200, d=6, seed=3)
-        std = projection.fit_standardizer(X)
-        Xs = std.transform(X)
-        model = projection.fit_pca(Xs, 6, standardizer=std)
+        Xs = projection.fit_standardizer(X).transform(X)
+        model = projection.fit_projection(X, 6)
         oracle = np.linalg.eig(np.cov(Xs.T)).eigenvalues.real
         oracle = np.sort(oracle)[::-1]
         assert np.allclose(model.explained_variance, oracle, rtol=1e-8)
