@@ -32,6 +32,8 @@ TOY_1E5 = ["--n-per-class", "100000", "--n-ood", "100000"]
 COMMANDS = (
     ("wine_run", ["run", *WINE, "--seeds", "0,1"]),
     ("wine_run_reordered", ["run", *WINE, "--seeds", "2,0", "--variants", "cfi,sd,full"]),
+    ("wine_run_quartile", ["run", *WINE, "--ood-rule", "above_quartile:proline",
+                           "--seeds", "0,1"]),
     ("wine_run_traj", ["run", *WINE, "--seeds", "0,1", "--emit-trajectories"]),
     ("toy_run_traj", ["run", "--n-ood", "500", "--seeds", "0", "--emit-trajectories"]),
     ("toy_run_seeds", ["run", "--n-ood", "500", "--seeds", "0,1,2"]),

@@ -190,7 +190,7 @@ class _RowClassifiers:
     def proba(self, U):
         """Class probabilities of standardized rows U, each under its own classifier."""
         logits = np.einsum("nj,ncj->nc", U, self.weights) + self.bias
-        logits = logits - logits.max(axis=-1, keepdims=True)
+        logits = logits - reduce(np.maximum, logits.T)[:, None]  # exact, as in training
         p = np.exp(logits)
         return p / p.sum(axis=-1, keepdims=True)
 
@@ -452,13 +452,16 @@ def train_softmax_classifier(sets, seeds, epochs: int = 500, lr: float = 0.01,
         raise DimensionMismatch("lock-step training needs one seed per set, and one "
                                 "row and class count")
     stds = [fit_standardizer(X, with_scaling=True) for X, _ in sets]
-    U = np.stack([std.transform(X) for std, (X, _) in zip(stds, sets)])
-    S, n, d = U.shape
+    # a ones column carries the bias: the last row of Wb is b, and a small
+    # gemm adds its K terms in order, so u @ Wb adds b last, as `+ b` does
+    U = np.stack([np.column_stack([std.transform(X), np.ones(len(X))])
+                  for std, (X, _) in zip(stds, sets)])
+    S, n, k = U.shape  # k = d + 1
     n_classes = int(ys[0].max()) + 1
-    W, b = np.zeros((S, n_classes, d)), np.zeros((S, 1, n_classes))
+    Wb = np.zeros((S, k, n_classes))
     gens = [rng.generator(seed, stream=2) for seed in seeds]
     # seed s's rows start at row s * n of the flattened stacks
-    flat_U, flat_Y = U.reshape(S * n, d), np.eye(n_classes)[np.concatenate(ys)]
+    flat_U, flat_Y = U.reshape(S * n, k), np.eye(n_classes)[np.concatenate(ys)]
     block = max(1, 2 ** 14 // (S * n))  # epochs per draw: 2^14 uniforms bound the memory
     for first in range(0, epochs, block):
         count = min(block, epochs - first)
@@ -468,16 +471,17 @@ def train_softmax_classifier(sets, seeds, epochs: int = 500, lr: float = 0.01,
             U_epoch, Y_epoch = flat_U[order], flat_Y[order]
             for start in range(0, n, batch_size):
                 u = U_epoch[:, start:start + batch_size]
-                logits = u @ W.transpose(0, 2, 1) + b
+                G = u @ Wb  # the logits, then in place the probabilities and gradient
                 # a max one class at a time: exact, and cheaper than max(axis=2)
-                logits -= reduce(np.maximum, logits.T).T[..., None]
-                P = np.exp(logits)
-                P /= np.add.reduce(P, axis=2, keepdims=True)
-                G = (P - Y_epoch[:, start:start + batch_size]) / u.shape[1]
-                W -= lr * (G.transpose(0, 2, 1) @ u)
-                b -= lr * np.add.reduce(G, axis=1, keepdims=True)
-    return [SoftmaxClassifier(standardizer=std, weights=W[s], bias=b[s, 0])
-            for s, std in enumerate(stds)]
+                G -= reduce(np.maximum, G.T).T[..., None]
+                np.exp(G, out=G)
+                G /= np.add.reduce(G, axis=2, keepdims=True)
+                G -= Y_epoch[:, start:start + batch_size]
+                G /= u.shape[1]
+                # one gemm gives the weight and the bias gradients together
+                Wb -= lr * (u.transpose(0, 2, 1) @ G)
+    return [SoftmaxClassifier(standardizer=std, weights=np.ascontiguousarray(Wb[s, :-1].T),
+                              bias=Wb[s, -1]) for s, std in enumerate(stds)]
 
 
 # -- batch driver ------------------------------------------------------------

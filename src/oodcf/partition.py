@@ -59,7 +59,7 @@ from .errors import (
 
 DEFAULT_SLACK = 0.10
 DEFAULT_CAP = 20
-_CHUNK = 64  # subsets per batch in the subset tree and in the direct path
+_CHUNK = 128  # subsets per batch in the subset tree and in the direct path
 _PIVOT_FLOOR = 1e-8  # relative to the dim's variance; see the module docstring
 
 

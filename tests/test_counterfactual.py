@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -359,10 +360,72 @@ class TestTrainerAgainstOracle:
             assert np.array_equal(clf.weights, W)
             assert np.array_equal(clf.bias, b)
 
+    # (classes, dims, seeds, rows, batch, epochs): many classes, one seed, a
+    # batch larger than the set, batches of 1000 and wine's 13 dims
+    @pytest.mark.parametrize("C,d,S,n,batch,epochs", [
+        (9, 4, 2, 300, 128, 30), (12, 5, 3, 300, 128, 30), (3, 3, 1, 250, 128, 40),
+        (2, 13, 5, 103, 128, 60), (4, 2, 2, 3000, 1000, 20), (7, 13, 1, 500, 700, 30),
+    ])
+    def test_bit_equal_across_shapes(self, C, d, S, n, batch, epochs):
+        gen = np.random.default_rng(C * 100 + d)
+        y = np.arange(n) % C
+        centers = gen.normal(size=(C, d))
+        Xs = [gen.normal(size=(n, d)) + 2.0 * centers[y] for _ in range(S)]
+        seeds = [3 * s + 1 for s in range(S)]
+        classifiers = counterfactual.train_softmax_classifier(
+            [(X, y) for X in Xs], seeds, epochs=epochs, batch_size=batch)
+        for X, seed, clf in zip(Xs, seeds, classifiers):
+            W, b = _oracle_train(X, y, epochs=epochs, batch_size=batch, seed=seed)
+            assert clf.weights.shape == (C, d) and clf.bias.shape == (C,)
+            assert clf.weights.flags.c_contiguous and clf.bias.flags.c_contiguous
+            assert np.array_equal(clf.weights, W)
+            assert np.array_equal(clf.bias, b)
+
+    def test_wine_stack_memory(self):
+        # the five wine seeds in one stack; gathering a whole permutation
+        # draw at once instead of one epoch adds about 2 MB
+        rows, _ = _seed_stack("wine")
+        sets = [(r.features, r.class_label) for r in rows]
+        tracemalloc.start()
+        try:
+            counterfactual.train_softmax_classifier(sets, list(range(5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
     def test_sets_of_different_sizes_are_rejected(self):
         X, y = np.random.default_rng(0).normal(size=(10, 2)), np.arange(10) % 2
         with pytest.raises(DimensionMismatch):
             counterfactual.train_softmax_classifier([(X, y), (X[:8], y[:8])], [0, 1])
+
+
+def _max_row_proba(rows, U):
+    """`_RowClassifiers.proba` with the row max taken by `max(axis=-1)`."""
+    logits = np.einsum("nj,ncj->nc", U, rows.weights) + rows.bias
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(logits)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def test_proba_class_max_keeps_non_finite_logits():
+    # one row per pattern; a non-finite bias gets zero weights, so its logit
+    # is the bias itself
+    inf, nan = np.inf, np.nan
+    bias = np.array([[inf, 0, 1], [-inf, 0, 1], [inf, inf, 0], [-inf, -inf, -inf],
+                     [inf, -inf, 2], [nan, 0, 1], [0, nan, inf], [-inf, 3, nan],
+                     [1e308, -1e308, 0], [-2, 5, 5]])
+    n = len(bias)
+    gen = np.random.default_rng(0)
+    weights = np.where(np.isfinite(bias)[:, :, None], gen.normal(size=(n, 3, 4)), 0.0)
+    rows = counterfactual._RowClassifiers(np.zeros((n, 4)), np.ones((n, 4)), weights, bias)
+    U = gen.normal(size=(n, 4))
+    with np.errstate(all="ignore"):
+        got, want = rows.proba(U), _max_row_proba(rows, U)
+    nan_at = np.isnan(want)
+    assert nan_at.any() and (~nan_at).any()
+    assert np.array_equal(np.isnan(got), nan_at)
+    assert got[~nan_at].tobytes() == want[~nan_at].tobytes()
 
 
 def _cfi_batch(classifiers, X, ids, targets, cfg=None):
