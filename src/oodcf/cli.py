@@ -300,15 +300,15 @@ def fit_pipeline(cfg: RunConfig, seed: int, keep: bool | int = False,
     projection = fit_projection(train.features, k, cfg.with_scaling)
     if cfg.k == 0 and projection.k < 2:
         raise TooFewDims(f"the features have rank {projection.k}; the partition search needs 2")
-    rows = _kept_rows(keep, [test.ood_flag])
-    Z_test, ood_flag, ood = (project(projection, test.features), test.ood_flag,
-                             None if rows is None else test.features[rows])
+    ood_flag = test.ood_flag
+    rows = _kept_rows(keep, [ood_flag])
+    Z_test, ood = project(projection, test.features), None if rows is None else test.features[rows]
     del test
     rows = _kept_rows(keep, (train.class_label == c for c in range(train.n_classes)))
     Z_train, labels, names = (project(projection, train.features), train.class_label,
                               train.feature_names)
     kept = None if rows is None else LabeledDataset(
-        train.features[rows], labels[rows], train.ood_flag[rows], names, train.provenance)
+        train.features[rows], labels[rows], names, train.provenance)
     del train, rows
     # the seed's one moment pass: the search, the model and both baselines use it
     moments = class_moments(Z_train, labels)

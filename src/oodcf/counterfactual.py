@@ -26,13 +26,7 @@ import numpy as np
 from . import rng
 from ._gaussian import LOG_2PI
 from .density import PartitionDensityModel
-from .errors import (
-    DimensionMismatch,
-    NonFiniteLoss,
-    OodcfError,
-    OutOfRange,
-    UnknownClass,
-)
+from .errors import DimensionMismatch, OutOfRange
 from .projection import (
     ProjectionModel,
     Standardizer,
@@ -55,8 +49,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.order not in ORDERS:
             raise OutOfRange(f"order must be one of {ORDERS}, got {self.order!r}")
-        if self.step_size <= 0.0:
-            raise OutOfRange("step_size must be > 0")
+        if not 0.0 < self.step_size < np.inf:
+            raise OutOfRange(f"step_size must be finite and > 0, got {self.step_size}")
         if self.max_iter < 1:
             raise OutOfRange("max_iter must be >= 1")
 
@@ -68,10 +62,10 @@ class CfiConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise OutOfRange("lambda must be >= 0")
-        if self.step_size <= 0.0 or self.max_iter < 1:
-            raise OutOfRange("step_size must be > 0 and max_iter >= 1")
+        if not 0.0 <= self.lam < np.inf:
+            raise OutOfRange(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0.0 < self.step_size < np.inf or self.max_iter < 1:
+            raise OutOfRange("step_size must be finite and > 0, and max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,12 +76,13 @@ class PhaseTrace:
     phase: str                 # non_dis | dis | joint | cfi
     points: np.ndarray         # (steps+1, d) standardized iterates
     losses: np.ndarray         # (steps+1,) optimized loss per iterate
-    steps: int
 
 
 @dataclass(frozen=True)
 class CounterfactualResult:
-    """One row's counterfactual; `trajectories` is empty unless recorded."""
+    """One row's counterfactual; `trajectories` is empty unless recorded.
+    `losses_before`/`losses_after` hold a density variant's non_dis and dis
+    NLLs and are empty for CFI and for a failed row."""
 
     x_original: np.ndarray
     x_counterfactual: np.ndarray
@@ -96,7 +91,6 @@ class CounterfactualResult:
     losses_before: dict
     losses_after: dict
     steps_taken: dict
-    variant: str
     target_class: int | None
     error: str | None = None
 
@@ -160,7 +154,7 @@ class _NllObjective:
         return U - alpha[:, None] * np.einsum("nm,mj->nj", grad_z, self.J)
 
     def diverged(self, step, alpha) -> str:
-        return f"{self.phase} phase diverged at step {step} (alpha={alpha:g})"
+        return f"NonFiniteLoss: {self.phase} phase diverged at step {step} (alpha={alpha:g})"
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ class _CfiObjective:
         return self.U0 + d
 
     def diverged(self, step, alpha) -> str:
-        return f"cfi diverged at step {step}"
+        return f"NonFiniteLoss: cfi diverged at step {step}"
 
 
 @dataclass(frozen=True)
@@ -244,10 +238,8 @@ class _Descent:
     """Per-row outcome of one `_descend` call."""
 
     U: np.ndarray          # (n, d) last accepted iterates
-    loss0: np.ndarray      # (n,) loss at the start
-    loss: np.ndarray       # (n,) loss at U
     steps: np.ndarray      # (n,) accepted steps
-    errors: dict           # row -> NonFiniteLoss, for rows that diverged
+    errors: dict           # row -> "NonFiniteLoss: ..." text, for rows that diverged
     traces: list | None    # per-row PhaseTrace when recorded
 
 
@@ -258,8 +250,8 @@ def _descend(U0, objective, step_size, max_iter, thresholds,
     A row stays active until its loss falls to its threshold (-inf for
     none), it stops moving (a proximal objective), it has taken max_iter
     steps, or its loss turns non-finite; the last flags the row with a
-    NonFiniteLoss and leaves the others running. A row that starts from a
-    non-finite loss takes a step too, so it cannot pass unflagged. A
+    NonFiniteLoss message and leaves the others running. A row that starts
+    from a non-finite loss takes a step too, so it cannot pass unflagged. A
     gradient row halves its step size after two consecutive loss increases.
 
     The state of the active rows (iterate, loss, step size, rise count,
@@ -270,17 +262,16 @@ def _descend(U0, objective, step_size, max_iter, thresholds,
     """
     U = np.array(U0, dtype=float)
     n, d = U.shape
-    loss0, cache = objective.loss(U)
-    loss = loss0.copy()
+    f, cache = objective.loss(U)
     steps = np.zeros(n, dtype=int)
-    messages = {}
+    errors = {}
     if record:
         points = np.empty((max_iter + 1, n, d))
         losses = np.empty((max_iter + 1, n))
-        points[0], losses[0] = U, loss0
+        points[0], losses[0] = U, f
     # the active rows: their ids, iterates, losses, step sizes, rise counts
     # and thresholds
-    rows, u, f = np.arange(n), U.copy(), loss0.copy()
+    rows, u = np.arange(n), U.copy()
     alpha, rises = np.full(n, float(step_size)), np.zeros(n, dtype=int)
     th = np.asarray(thresholds, dtype=float)
 
@@ -288,7 +279,7 @@ def _descend(U0, objective, step_size, max_iter, thresholds,
         """Write the rows outside `mask` back with `taken` steps, keep the rest."""
         nonlocal rows, u, f, cache, alpha, rises, th
         done = rows[~mask]
-        U[done], loss[done], steps[done] = u[~mask], f[~mask], taken
+        U[done], steps[done] = u[~mask], taken
         rows, u, f, cache = rows[mask], u[mask], f[mask], cache[mask]
         alpha, rises, th = alpha[mask], rises[mask], th[mask]
         objective.keep(mask)
@@ -305,7 +296,7 @@ def _descend(U0, objective, step_size, max_iter, thresholds,
         go = finite & (new != u).any(axis=1) if objective.proximal else finite
         if not go.all():
             for j in np.flatnonzero(~finite):
-                messages[rows[j]] = objective.diverged(t + 1, alpha[j])
+                errors[rows[j]] = objective.diverged(t + 1, alpha[j])
             retire(go, t)
             new, new_loss, new_cache = new[go], new_loss[go], new_cache[go]
         if not objective.proximal:
@@ -324,10 +315,9 @@ def _descend(U0, objective, step_size, max_iter, thresholds,
     traces = None
     if record:
         traces = [PhaseTrace(objective.phase, points[:s + 1, i].copy(),
-                             losses[:s + 1, i].copy(), int(s))
+                             losses[:s + 1, i].copy())
                   for i, s in enumerate(steps)]
-    errors = {i: NonFiniteLoss(msg) for i, msg in messages.items()}
-    return _Descent(U=U, loss0=loss0, loss=loss, steps=steps, errors=errors, traces=traces)
+    return _Descent(U=U, steps=steps, errors=errors, traces=traces)
 
 
 # -- density variants: two-step, sg, sn, sd --------------------------------
@@ -358,11 +348,11 @@ def _phase_gaussians(model, projection, phase, targets):
     return list(dims), _RowGaussians.gather(comps, targets), stops[targets]
 
 
-def _partition_nlls(model, projection, U, targets, joint: bool) -> dict:
-    """non-dis and target-class dis (and joint) NLL at standardized rows."""
+def _partition_nlls(model, projection, U, targets) -> dict:
+    """non-dis and target-class dis NLL at standardized rows."""
     Z = np.einsum("nj,jk->nk", U, projection.loadings)
     out = {}
-    for phase in ("non_dis", "dis", "joint") if joint else ("non_dis", "dis"):
+    for phase in ("non_dis", "dis"):
         dims, g, _ = _phase_gaussians(model, projection, phase, targets)
         out[phase] = g.nll(g.whiten(Z[:, dims]))
     return out
@@ -377,8 +367,7 @@ def _density_rows(X, variant, model, projection, cfg, targets, record):
     traces = [[] for _ in range(n)]
     steps = [{} for _ in range(n)]
     live = np.arange(n)
-    phases = _phases(variant, cfg.order)
-    for phase in phases:
+    for phase in _phases(variant, cfg.order):
         dims, gaussians, stops = _phase_gaussians(model, projection, phase, targets[live])
         objective = _NllObjective(jacobian(projection, dims), gaussians, phase)
         run = _descend(U[live], objective, cfg.step_size, cfg.max_iter, stops, record)
@@ -387,13 +376,13 @@ def _density_rows(X, variant, model, projection, cfg, targets, record):
             steps[i][phase] = int(run.steps[j])
             if record:
                 traces[i].append(run.traces[j])
-        for j, exc in run.errors.items():
-            outcomes[live[j]] = exc
+        for j, error in run.errors.items():
+            outcomes[live[j]] = error
         live = np.array([i for i in live if outcomes[i] is None], dtype=int)
 
     t = targets[live]
-    before = _partition_nlls(model, projection, U0[live], t, "joint" in phases)
-    after = _partition_nlls(model, projection, U[live], t, "joint" in phases)
+    before = _partition_nlls(model, projection, U0[live], t)
+    after = _partition_nlls(model, projection, U[live], t)
     # delta defined in raw units from the standardized displacement, and the
     # counterfactual defined as x + delta, so x' = x + delta holds exactly
     delta = (U - U0) * projection.standardizer.scale
@@ -404,27 +393,22 @@ def _density_rows(X, variant, model, projection, cfg, targets, record):
             trajectories=traces[i],
             losses_before={k: float(v[j]) for k, v in before.items()},
             losses_after={k: float(v[j]) for k, v in after.items()},
-            steps_taken=steps[i], variant=variant, target_class=int(t[j]))
+            steps_taken=steps[i], target_class=int(t[j]))
     return outcomes
 
 
 def _cfi_rows(X, classifiers: _RowClassifiers, cfg, targets, record):
     """Run the CFI descent on the rows of X, each under its own classifier."""
     U0 = classifiers.transform(X)
-    rows = np.arange(X.shape[0])
+    n = X.shape[0]
     run = _descend(U0, _CfiObjective(classifiers, U0, targets, cfg), cfg.step_size,
-                   cfg.max_iter, np.full(len(rows), -np.inf), record)
-    q_before = classifiers.proba(U0)[rows, targets]
-    q_after = classifiers.proba(run.U)[rows, targets]
+                   cfg.max_iter, np.full(n, -np.inf), record)
     delta = (run.U - U0) * classifiers.scale
     X_cf = X + delta
     return [run.errors[i] if i in run.errors else CounterfactualResult(
         x_original=X[i], x_counterfactual=X_cf[i], delta=delta[i],
-        trajectories=[run.traces[i]] if record else [],
-        losses_before={"objective": float(run.loss0[i]), "q_target": float(q_before[i])},
-        losses_after={"objective": float(run.loss[i]), "q_target": float(q_after[i])},
-        steps_taken={"cfi": int(run.steps[i])}, variant="cfi",
-        target_class=int(targets[i])) for i in rows]
+        trajectories=[run.traces[i]] if record else [], losses_before={}, losses_after={},
+        steps_taken={"cfi": int(run.steps[i])}, target_class=int(targets[i])) for i in range(n)]
 
 
 # -- CFI baseline ------------------------------------------------------------
@@ -486,11 +470,11 @@ def train_softmax_classifier(sets, seeds, epochs: int = 500, lr: float = 0.01,
 
 # -- batch driver ------------------------------------------------------------
 
-def _failed_result(x, variant, exc) -> CounterfactualResult:
+def _failed_result(x, error: str) -> CounterfactualResult:
     return CounterfactualResult(
         x_original=x, x_counterfactual=x.copy(), delta=np.zeros_like(x),
         trajectories=[], losses_before={}, losses_after={}, steps_taken={},
-        variant=variant, target_class=None, error=f"{type(exc).__name__}: {exc}")
+        target_class=None, error=error)
 
 
 def batch_generate(points, targets, variant="full", model=None, projection=None, cfg=None,
@@ -519,7 +503,7 @@ def batch_generate(points, targets, variant="full", model=None, projection=None,
         raise DimensionMismatch(f"input has {d} features, model expects {n_features}")
     targets = np.asarray(targets, dtype=int).reshape(n)
     outcomes = [None if 0 <= t < n_classes else
-                UnknownClass(f"target class {t} not in [0, {n_classes})") for t in targets]
+                f"UnknownClass: target class {t} not in [0, {n_classes})" for t in targets]
     ok = np.array([i for i in range(n) if outcomes[i] is None], dtype=int)
     # a row on its way to a non-finite loss may overflow or meet inf - inf;
     # the loss check flags it, so the arithmetic itself stays silent
@@ -531,5 +515,5 @@ def batch_generate(points, targets, variant="full", model=None, projection=None,
                                  record)
     for i, out in zip(ok, done):
         outcomes[i] = out
-    return [_failed_result(x, variant, out) if isinstance(out, OodcfError) else out
+    return [_failed_result(x, out) if isinstance(out, str) else out
             for x, out in zip(X, outcomes)]

@@ -52,26 +52,27 @@ class RawTable:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix in raw units with per-row ID class label and OOD flag.
+    """Feature matrix in raw units with a per-row class label.
 
     `class_label` is a contiguous id in [0, n_classes) for ID rows and
-    OOD_LABEL for OOD rows, stored as `class_id_dtype(n_classes)` by the
-    loaders (int8 for the toy); code that does arithmetic on ids converts.
+    OOD_LABEL for OOD rows, the only record of which rows are OOD; it is
+    stored as `class_id_dtype(n_classes)` by the loaders (int8 for the toy),
+    and code that does arithmetic on ids converts.
     """
 
     features: np.ndarray
     class_label: np.ndarray
-    ood_flag: np.ndarray
     feature_names: list[str]
     provenance: str
 
     def __post_init__(self):
-        if self.features.shape[0] != self.class_label.shape[0]:
+        labels = self.class_label
+        if self.features.shape[0] != labels.shape[0]:
             raise DimensionMismatch("features and class_label row counts differ")
-        if self.features.shape[0] != self.ood_flag.shape[0]:
-            raise DimensionMismatch("features and ood_flag row counts differ")
-        id_labels = self.class_label[~self.ood_flag]
-        if id_labels.size and (id_labels.min() < 0 or not np.bincount(id_labels).all()):
+        if labels.size and labels.min() < OOD_LABEL:
+            raise UnknownClass(f"class labels must be {OOD_LABEL} (OOD) or ids from 0")
+        id_labels = labels[labels != OOD_LABEL]
+        if id_labels.size and not np.bincount(id_labels).all():
             raise UnknownClass("ID class labels must be contiguous from 0")
 
     @property
@@ -83,9 +84,12 @@ class LabeledDataset:
         return self.features.shape[1]
 
     @property
+    def ood_flag(self) -> np.ndarray:
+        return self.class_label == OOD_LABEL
+
+    @property
     def n_classes(self) -> int:
-        id_labels = self.class_label[~self.ood_flag]
-        return int(id_labels.max()) + 1 if id_labels.size else 0
+        return int(self.class_label.max(initial=OOD_LABEL)) + 1
 
 
 def _utf8_lines(fh, path):
@@ -220,7 +224,6 @@ def apply_ood_rule(table: RawTable, spec: str) -> LabeledDataset:
     return LabeledDataset(
         features=features,
         class_label=class_label,
-        ood_flag=ood,
         feature_names=feature_names,
         provenance=f"csv({table.label_column!r}); rule {applied}",
     )
@@ -247,11 +250,9 @@ def make_toy(n_per_class: int, n_ood: int, seed: int) -> LabeledDataset:
                out=features[2 * n_per_class:])
     class_label = np.repeat(np.array([0, 1, OOD_LABEL], dtype=class_id_dtype(2)),
                             [n_per_class, n_per_class, n_ood])
-    ood_flag = class_label == OOD_LABEL
     return LabeledDataset(
         features=features,
         class_label=class_label,
-        ood_flag=ood_flag,
         feature_names=["x1", "x2"],
         provenance=f"toy(n_per_class={n_per_class}, n_ood={n_ood}, seed={seed})",
     )
@@ -263,7 +264,7 @@ def _train_mask(ds: LabeledDataset, train_fraction: float, seed: int) -> np.ndar
     gen = rng.generator(seed, stream=1)
     train_mask = np.zeros(ds.n_rows, dtype=bool)
     for c in range(ds.n_classes):
-        members = np.nonzero((~ds.ood_flag) & (ds.class_label == c))[0]
+        members = np.nonzero(ds.class_label == c)[0]
         if members.size < 2:
             raise DegenerateSplit(f"class {c} has {members.size} row(s); need >= 2")
         order = members[rng.permutation(gen, members.size)]
@@ -286,7 +287,7 @@ def split(ds: LabeledDataset, train_fraction: float,
     train_mask = _train_mask(ds, train_fraction, seed)
     test_mask = ~train_mask
     names, provenance = ds.feature_names, ds.provenance
-    columns = [ds.class_label, ds.ood_flag, ds.features]
+    columns = [ds.class_label, ds.features]
     del ds
     sides = ([], [])
     while columns:
@@ -294,5 +295,4 @@ def split(ds: LabeledDataset, train_fraction: float,
         sides[0].append(column[train_mask])
         sides[1].append(column[test_mask])
         del column
-    return tuple(LabeledDataset(x, labels, flags, names, provenance)
-                 for labels, flags, x in sides)
+    return tuple(LabeledDataset(x, labels, names, provenance) for labels, x in sides)

@@ -255,8 +255,8 @@ def search_partition(moments: ClassMoments, Z_eval, slack: float = DEFAULT_SLACK
     if k > cap:
         raise CapExceeded(
             f"k={k} exceeds the exhaustive-search cap {cap}; lower k or raise the cap")
-    if slack < 0.0:
-        raise OutOfRange("slack must be >= 0")
+    if not 0.0 <= slack < np.inf:
+        raise OutOfRange(f"slack must be finite and >= 0, got {slack}")
     if Z_eval.shape[1] != k:
         raise DimensionMismatch("train and eval latent dimensionality differ")
 

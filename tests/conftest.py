@@ -13,8 +13,8 @@ STOP_QUANTILE = 0.5  # the `--stop-quantile` default
 
 
 def _rows(ds: dataset.LabeledDataset, keep) -> dataset.LabeledDataset:
-    return dataset.LabeledDataset(ds.features[keep], ds.class_label[keep], ds.ood_flag[keep],
-                                  ds.feature_names, ds.provenance)
+    return dataset.LabeledDataset(ds.features[keep], ds.class_label[keep], ds.feature_names,
+                                  ds.provenance)
 
 
 def id_rows(ds: dataset.LabeledDataset) -> dataset.LabeledDataset:

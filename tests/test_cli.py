@@ -1163,7 +1163,7 @@ class TestStreamedRows:
             left -= lengths[-1]
         results = [types.SimpleNamespace(target_class=i % 2, trajectories=[
             PhaseTrace(("non_dis", "dis", "joint")[i % 3], gen.normal(size=(m, 2)) * 3,
-                       np.zeros(m), m - 1)]) for i, m in enumerate(lengths)]
+                       np.zeros(m))]) for i, m in enumerate(lengths)]
         results.append(types.SimpleNamespace(target_class=1, trajectories=[]))
         header = cli._traj_header(fit.feature_names)
         cli.write_csv(tmp_path / "t.csv", header,

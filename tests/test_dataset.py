@@ -243,18 +243,16 @@ def two_class_dataset(n0, n1, n_ood=0):
     features = np.arange(2 * n, dtype=float).reshape(n, 2)
     labels = np.concatenate([np.zeros(n0, int), np.ones(n1, int),
                              np.full(n_ood, dataset.OOD_LABEL)])
-    ood = np.concatenate([np.zeros(n0 + n1, bool), np.ones(n_ood, bool)])
-    return dataset.LabeledDataset(features, labels, ood, ["a", "b"], "test")
+    return dataset.LabeledDataset(features, labels, ["a", "b"], "test")
 
 
-# each inconsistent LabeledDataset field set, and the error it raises
+# each inconsistent LabeledDataset field set, and the error it raises; -1 is
+# OOD_LABEL, so a negative ID label is one below it
 BAD_DATASETS = {
-    "label_rows": ((np.zeros((3, 2)), np.zeros(2, int), np.zeros(3, bool)), DimensionMismatch),
-    "flag_rows": ((np.zeros((3, 2)), np.zeros(3, int), np.zeros(4, bool)), DimensionMismatch),
-    "negative_id_label": ((np.zeros((3, 2)), np.array([0, -1, 1]), np.zeros(3, bool)),
-                          UnknownClass),
-    "gap_in_id_labels": ((np.zeros((2, 2)), np.array([0, 2]), np.zeros(2, bool)),
-                         UnknownClass),
+    "label_rows": ((np.zeros((3, 2)), np.zeros(2, int)), DimensionMismatch),
+    "negative_id_label": ((np.zeros((3, 2)), np.array([0, -2, 1])), UnknownClass),
+    "label_below_ood": ((np.zeros((2, 2)), np.array([-2, 0])), UnknownClass),
+    "gap_in_id_labels": ((np.zeros((2, 2)), np.array([0, 2])), UnknownClass),
 }
 
 
@@ -289,7 +287,7 @@ class TestSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * (3 * n * 25)  # features 16 B, label 8 B, flag 1 B a row
+        assert peak <= 2.2 * (3 * n * 24)  # features 16 B, label at most 8 B a row
 
     def test_fraction_arithmetic(self):
         ds = two_class_dataset(50, 50)

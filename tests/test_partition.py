@@ -294,6 +294,12 @@ class TestSearchPartition:
         chosen = [r for r in result.per_cardinality if r.chosen][0]
         assert chosen.normalized == min(losses)
 
+    @pytest.mark.parametrize("slack", [-0.1, np.nan, np.inf])
+    def test_slack_out_of_range(self, slack):
+        Z, Y, Ze = four_d_signal_data(seed=1)
+        with pytest.raises(OutOfRange, match="slack"):
+            partition.search_partition(class_moments(Z, Y), Ze, slack=slack)
+
     def test_deterministic(self):
         Z, Y, Ze = four_d_signal_data(seed=2)
         a = partition.search_partition(class_moments(Z, Y), Ze)

@@ -184,7 +184,7 @@ def fake_results(points):
         out.append(counterfactual.CounterfactualResult(
             x_original=x, x_counterfactual=x.copy(), delta=np.zeros_like(x),
             trajectories=[], losses_before={}, losses_after={}, steps_taken={},
-            variant="full", target_class=None))
+            target_class=None))
     return out
 
 
@@ -216,7 +216,7 @@ class TestEvaluateRun:
         results.append(counterfactual.CounterfactualResult(
             x_original=toy_ood[5], x_counterfactual=toy_ood[5],
             delta=np.zeros(2), trajectories=[], losses_before={},
-            losses_after={}, steps_taken={}, variant="full",
+            losses_after={}, steps_taken={},
             target_class=None, error="NonFiniteLoss: boom"))
         row = report.evaluate_run(results, id_scores(toy_fit),
                                   toy_fit.model, toy_fit.projection)
@@ -251,7 +251,7 @@ class TestEvaluateRun:
         bad = counterfactual.CounterfactualResult(
             x_original=toy_ood[0], x_counterfactual=toy_ood[0],
             delta=np.zeros(2), trajectories=[], losses_before={},
-            losses_after={}, steps_taken={}, variant="full",
+            losses_after={}, steps_taken={},
             target_class=None, error="boom")
         with pytest.raises(EmptyInput):
             report.evaluate_run([bad], id_scores(toy_fit),
