@@ -1,6 +1,7 @@
 """Full-covariance Gaussian component shared by the QDA classifier and the
-per-partition density models, the one way rows are whitened, and the class
-moments every model of a seed is cut from.
+per-partition density models, the one way rows are whitened, the class
+moments every model of a seed is cut from, and the two tall-array kernels
+(`rowwise`, `column_mean`) that the fits use on (n, d) arrays of many rows.
 
 Covariance regularization policy: try the Cholesky factorization of the
 sample covariance; on failure add ridge*I with ridge = 1e-6 * trace/m and
@@ -19,7 +20,52 @@ from .errors import DataError, DimensionMismatch, SingularCovariance
 LOG_2PI = float(np.log(2.0 * np.pi))
 _RIDGE_START = 1e-6
 _RIDGE_ESCALATIONS = 16
-_ROW_CHUNK = 1 << 13  # rows per block of the pooled covariance and of a whitening
+_ROW_CHUNK = 1 << 13  # rows per block of the pooled covariance, a whitening and a column mean
+_BROADCAST_ROWS = 512  # rows a `rowwise` block lays out as one long row
+
+
+def rowwise(ufunc, X: np.ndarray, v, out: np.ndarray | None = None) -> np.ndarray:
+    """`ufunc(X, v, out=out)` for float64 rows X (n, d) and one row v (d,),
+    the same values in the same array. The plain broadcast runs numpy's
+    inner loop over d values once per row; here each block of
+    `_BROADCAST_ROWS` C-contiguous rows is viewed as one long row and met by
+    v tiled to its length. The leftover rows, and an X (or out) that is not
+    2-D, float64 like v, C-contiguous and at least one block tall, take the
+    plain broadcast."""
+    v = np.asarray(v)
+    if not (X.ndim == 2 and len(X) >= _BROADCAST_ROWS and X.shape[1:] == v.shape
+            and v.size and X.dtype == v.dtype == np.float64
+            and X.flags.c_contiguous and (out is None or out.flags.c_contiguous)):
+        return ufunc(X, v, out=out)
+    out = np.empty_like(X) if out is None else out
+    m, width = len(X) - len(X) % _BROADCAST_ROWS, _BROADCAST_ROWS * v.size
+    ufunc(X[:m].reshape(-1, width), np.tile(v, _BROADCAST_ROWS),
+          out=out[:m].reshape(-1, width))
+    ufunc(X[m:], v, out=out[m:])
+    return out
+
+
+def column_mean(X: np.ndarray) -> np.ndarray:
+    """`X.mean(axis=0)` of a 2-D float64 X, bit for bit. numpy sums a C-contiguous
+    (n, d >= 2) array one row at a time, in an inner loop over d values. A
+    running `np.add.accumulate` down each column, `_ROW_CHUNK` rows at a
+    time after the sum so far (0.0 at first, as in numpy's reduce), adds
+    the same values in the same order in long loops; it is the faster one
+    for d of 2 or 3. numpy sums d = 1 and non-C-contiguous inputs pairwise,
+    so those, other dtypes and arrays under one block take `X.mean(axis=0)`."""
+    n, d = X.shape
+    if not (2 <= d <= 3 and n >= _ROW_CHUNK and X.dtype == np.float64
+            and X.flags.c_contiguous):
+        return X.mean(axis=0)
+    acc = np.empty((_ROW_CHUNK + 1, d))
+    acc[0] = 0.0
+    for start in range(0, n, _ROW_CHUNK):
+        block = X[start:start + _ROW_CHUNK]
+        run = acc[:len(block) + 1]
+        run[1:] = block
+        np.add.accumulate(run, axis=0, out=run)
+        acc[0] = run[-1]
+    return acc[0] / n
 
 
 def regularized_cholesky(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -112,7 +158,7 @@ class GaussianComponent:
         quad = np.empty(len(Z))
         for start in range(0, len(Z), _ROW_CHUNK):
             chunk = slice(start, start + _ROW_CHUNK)
-            quad[chunk] = whitened_sq(self.chol, (Z[chunk] - self.mean).T)
+            quad[chunk] = whitened_sq(self.chol, rowwise(np.subtract, Z[chunk], self.mean).T)
         return quad
 
 
@@ -146,15 +192,15 @@ def class_moments(Z: np.ndarray, Y: np.ndarray) -> ClassMoments:
     for c, n in enumerate(counts.tolist()):
         if n < 2:
             raise SingularCovariance(f"need >= 2 rows to fit a Gaussian, got {n}")
-        members = Z[Y == c]
+        members = np.compress(Y == c, Z, axis=0)
         if not np.isfinite(members).all():
             raise SingularCovariance(f"class {c} has non-finite train rows")
-        means.append(members.mean(axis=0))
-        centered = members - means[-1]
+        means.append(column_mean(members))
+        centered = rowwise(np.subtract, members, means[-1])
         covs.append(centered.T @ centered / (n - 1))
-    mean, scatter = Z.mean(axis=0), 0.0
+    mean, scatter = column_mean(Z), 0.0
     for start in range(0, len(Z), _ROW_CHUNK):
-        centered = Z[start:start + _ROW_CHUNK] - mean
+        centered = rowwise(np.subtract, Z[start:start + _ROW_CHUNK], mean)
         scatter = scatter + centered.T @ centered
     return ClassMoments(np.array(means), np.array(covs), counts, mean,
                         scatter / (len(Z) - 1))

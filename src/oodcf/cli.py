@@ -312,7 +312,8 @@ def fit_pipeline(cfg: RunConfig, seed: int, keep: bool | int = False,
     del train, rows
     # the seed's one moment pass: the search, the model and both baselines use it
     moments = class_moments(Z_train, labels)
-    part = search_partition(moments, Z_test[~ood_flag], slack=cfg.slack, cap=cfg.cap)
+    part = search_partition(moments, np.compress(~ood_flag, Z_test, axis=0),
+                            slack=cfg.slack, cap=cfg.cap)
     model = fit_partition_density(Z_train, labels, moments, part, cfg.stop_quantile)
     return PipelineFit(projection, part, moments, model, Z_test, ood_flag, ood, names, kept)
 

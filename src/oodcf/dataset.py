@@ -292,7 +292,7 @@ def split(ds: LabeledDataset, train_fraction: float,
     sides = ([], [])
     while columns:
         column = columns.pop(0)
-        sides[0].append(column[train_mask])
-        sides[1].append(column[test_mask])
+        sides[0].append(np.compress(train_mask, column, axis=0))
+        sides[1].append(np.compress(test_mask, column, axis=0))
         del column
     return tuple(LabeledDataset(x, labels, names, provenance) for labels, x in sides)

@@ -68,7 +68,7 @@ def fit_partition_density(Z_train: np.ndarray, Y_train: np.ndarray, moments: Cla
     non_dis = moments.gaussian(zn)
     dis_per_class, joint_per_class, dis_stop, joint_stop = [], [], [], []
     for c in range(len(moments.counts)):
-        rows = Z_train[Y_train == c]
+        rows = np.compress(Y_train == c, Z_train, axis=0)
         dis_per_class.append(moments.gaussian(zd, c))
         joint_per_class.append(moments.gaussian(range(partition.k), c))
         dis_stop.append(stop(dis_per_class[c], rows[:, zd]))

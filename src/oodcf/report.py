@@ -32,7 +32,9 @@ def auroc(positive_scores, negative_scores) -> float:
     neg = np.asarray(negative_scores, dtype=float).ravel()
     if pos.size == 0 or neg.size == 0:
         raise EmptyInput("auroc needs at least one score on each side")
-    neg = np.sort(neg)  # NaNs last
+    # both sides sorted (copies: ravel may hand back the caller's array), so
+    # the binary searches walk the negatives in order; the counts are the same
+    pos, neg = np.sort(pos), np.sort(neg)  # NaNs last
     below = np.searchsorted(neg, pos, side="left")
     ties = np.searchsorted(neg, pos, side="right") - below
     ties[np.isnan(pos)] = 0

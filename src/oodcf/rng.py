@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._gaussian import rowwise
+
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for the given seed. `stream` decorrelates sub-uses
@@ -48,8 +50,7 @@ def normal(gen: np.random.Generator, mean, std, size: tuple[int, int],
     n, d = size
     g = standard_normal(gen, n * d, None if out is None else out.reshape(-1)).reshape(n, d)
     g *= std
-    g += np.asarray(mean)
-    return g
+    return rowwise(np.add, g, mean, out=g)
 
 
 def permutation(gen: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import STOP_QUANTILE, mode_nll, nll_dis_target
 
-from oodcf import density, projection
+from oodcf import _gaussian, density, projection
 from oodcf.errors import DataError, DimensionMismatch, OutOfRange, SingularCovariance
 from oodcf.partition import Partition
 
@@ -304,6 +304,99 @@ class TestClassMoments:
     def test_labels_must_be_contiguous_from_zero(self, labels):
         with pytest.raises(DataError):
             density.class_moments(np.zeros((4, 2)), np.array(labels))
+
+
+def same_bits(got, want):
+    """Equal shape, dtype and every bit (NaN payloads and -0.0 included)."""
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def awkward(shape, seed):
+    """Floats over 16 decades, with -0.0, +-inf and NaN sprinkled in."""
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=shape) * 10.0 ** gen.integers(-8, 8, size=shape)
+    flat = x.reshape(-1)
+    for value in (-0.0, np.inf, -np.inf, np.nan) if flat.size else ():
+        flat[gen.integers(0, flat.size, size=max(1, flat.size // 50))] = value
+    return x
+
+
+class TestTallArrayKernels:
+    """`rowwise`, `column_mean` and the `np.compress` gathers give the
+    arrays of the plain numpy expressions they stand for, bit for bit."""
+
+    B, C = _gaussian._BROADCAST_ROWS, _gaussian._ROW_CHUNK
+
+    @pytest.mark.parametrize("ufunc", [np.subtract, np.add, np.true_divide])
+    @pytest.mark.parametrize("d", [1, 2, 13])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 10**5 + 3])
+    def test_rowwise_is_the_broadcast(self, ufunc, d, n):
+        X, v = awkward((n, d), n + d), awkward((d,), d)
+        v[0] = -0.0
+        with np.errstate(all="ignore"):
+            want = ufunc(X, v)
+            assert same_bits(_gaussian.rowwise(ufunc, X, v), want)
+            inplace = X.copy()
+            assert _gaussian.rowwise(ufunc, inplace, v, out=inplace) is inplace
+        assert same_bits(inplace, want)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "no columns", "float32"])
+    def test_rowwise_other_layouts(self, layout):
+        X = awkward((2 * self.B + 7, 4), 3)
+        X = {"fortran": np.asfortranarray(X), "strided": X[::2, ::2],
+             "no columns": X[:, :0], "float32": X.astype(np.float32)}[layout]
+        v = awkward((X.shape[1],), 4)
+        with np.errstate(all="ignore"):
+            assert same_bits(_gaussian.rowwise(np.subtract, X, v), X - v)
+
+    @pytest.mark.parametrize("d", [2, 3, 13])
+    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, 2 * C, 3 * C + 5])
+    def test_column_mean_c_contiguous(self, d, n):
+        X = awkward((n, d), n * d)
+        X[:, 0] = awkward((n,), 1) * 1e-3  # a column free of inf and NaN
+        X[:, 1] = -0.0  # numpy's sum starts at +0.0
+        with np.errstate(all="ignore"):
+            assert same_bits(_gaussian.column_mean(X), X.mean(axis=0))
+
+    @pytest.mark.parametrize("n", [C - 1, C, C + 1, 3 * C + 5])
+    @pytest.mark.parametrize("layout", ["one column", "fortran", "strided", "float32"])
+    def test_column_mean_other_layouts(self, layout, n):
+        X = np.random.default_rng(n).normal(size=(2 * n, 3)) * 1e6 + 1.0
+        X = {"one column": X[:n, :1].copy(), "fortran": np.asfortranarray(X[:n]),
+             "strided": X[::2], "float32": X[:n].astype(np.float32)}[layout]
+        assert same_bits(_gaussian.column_mean(X), X.mean(axis=0))
+
+    def test_column_mean_sums_in_row_order(self):
+        # 1 + 2**-53 + 2**-53 + ... stays 1 row by row, but not pairwise
+        X = np.full((3 * self.C, 2), 2.0**-53)
+        X[0] = 1.0
+        assert same_bits(_gaussian.column_mean(X), X.mean(axis=0))
+        assert X.mean(axis=0)[0] != X[:, 0].copy().mean()
+
+    @pytest.mark.parametrize("mask", ["random", "all false", "all true"])
+    def test_compress_is_the_boolean_gather(self, mask):
+        gen = np.random.default_rng(5)
+        rows = {"random": gen.random(3000) < 0.7, "all false": np.zeros(3000, bool),
+                "all true": np.ones(3000, bool)}[mask]
+        for X in (awkward((3000, 2), 6), gen.integers(-1, 3, 3000).astype(np.int8)):
+            got = np.compress(rows, X, axis=0)
+            assert got.dtype == X.dtype and np.array_equal(got.view(np.uint8),
+                                                            X[rows].view(np.uint8))
+
+    @pytest.mark.parametrize("labels", ["one class", "two classes"])
+    def test_class_moments_of_tall_rows(self, labels):
+        gen = np.random.default_rng(7)
+        Z = gen.normal(size=(3 * self.C + 11, 2)) * [3.0, 0.5] + [1e3, -2.0]
+        Y = (np.zeros(len(Z), int) if labels == "one class"
+             else (gen.random(len(Z)) < 0.4).astype(np.int8))
+        m = density.class_moments(Z, Y)
+        for c in range(Y.max() + 1):
+            rows = Z[Y == c]
+            centered = rows - rows.mean(axis=0)
+            assert np.array_equal(m.means[c], rows.mean(axis=0))
+            assert np.array_equal(m.covs[c], centered.T @ centered / (len(rows) - 1))
+        assert np.array_equal(m.mean, Z.mean(axis=0))
 
 
 class TestRegularization:

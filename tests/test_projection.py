@@ -66,6 +66,18 @@ class TestStandardizer:
         with pytest.raises(DataError, match="overflows a float"):
             projection.fit_standardizer(np.array(X), with_scaling=with_scaling)
 
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 10**5 + 3])
+    def test_transform_is_the_plain_expression(self, n):
+        gen = np.random.default_rng(n)
+        X = gen.normal(size=(n, 2)) * [1e-3, 1e4]
+        X[::7, 0], X[1::11, 1] = -0.0, np.inf
+        std = projection.Standardizer(mean=np.array([0.25, -3.0]), scale=np.array([3.0, 0.5]))
+        for x in (X, X[0], X[:, :1].copy()):  # a single row: one plain broadcast
+            mean, scale = std.mean[:x.shape[-1]], std.scale[:x.shape[-1]]
+            got = projection.Standardizer(mean, scale).transform(x)
+            want = (x - mean) / scale
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_large_finite_column_is_kept(self):
         std = projection.fit_standardizer(np.array([[1e150], [-1e150], [0.0]]))
         assert std.scale[0] == pytest.approx(1e150)

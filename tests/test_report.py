@@ -82,6 +82,16 @@ class TestAuroc:
         with pytest.raises(EmptyInput):
             report.auroc([], [1.0])
 
+    @pytest.mark.parametrize("shape", [(40,), (8, 5)])
+    def test_inputs_are_left_as_they_were(self, shape):
+        gen = np.random.default_rng(2)
+        pos, neg = gen.normal(size=shape), gen.normal(size=shape)
+        pos.flat[3], neg.flat[7] = np.nan, np.nan
+        before = pos.copy(), neg.copy()
+        report.auroc(pos, neg)
+        for got, want in zip((pos, neg), before):
+            assert np.array_equal(got, want, equal_nan=True)
+
     def test_matches_pairwise_oracle_with_ties(self):
         gen = np.random.default_rng(0)
         for _ in range(200):
